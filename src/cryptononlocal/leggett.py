@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    bloch_to_density,
     expected_abs_projection,
     haar_unitary,
     sample_haar_pure,
@@ -200,6 +201,16 @@ def leggett_bound_mc(
     the result is independent of how chunks are scheduled.  Chunk partial
     sums are combined with `math.fsum`, so the reduction order cannot move
     the estimate.  A fixed-u model returns the exact value with zero error.
+
+    Haar-pure states are never mapped to Bloch vectors.  By the projection
+    rule ``Tr(rho(a) |psi><psi|) = [1 + (d-1) a.u] / d`` each step is an
+    expectation value,
+
+        (a^x - a^{x-1}) . u = <psi| H_x |psi> ,
+        H_x = d/(d-1) (rho(a^x) - rho(a^{x-1})) ,
+
+    so the d Hermitian ``H_x`` are built once per call and each chunk costs
+    d matrix products of shape (m, d) x (d, d).
     """
     if model.d != basis.d:
         raise ValueError("model and basis dimensions differ")
@@ -213,6 +224,9 @@ def leggett_bound_mc(
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if model.u_mode == "haar-pure":
+        rho = np.stack([bloch_to_density(a, d) for a in basis.vectors])
+        steps = d / (d - 1) * (rho - np.roll(rho, 1, axis=0))
     n_dim = d * d - 1
     seeded = isinstance(rng, (int, np.integer))
     partial_sums: list[float] = []
@@ -224,10 +238,14 @@ def leggett_bound_mc(
         gen = substream(int(rng), chunk_index) if seeded else rng
         if model.u_mode == "sphere-uniform":
             u = sample_sphere(n_dim, gen, size=m)
+            vals = coef * np.abs(u @ diffs.T).sum(axis=1)
         else:
             states = sample_haar_pure(d, gen, size=m)
-            u = np.stack([state_to_bloch(s) for s in states])
-        vals = coef * np.abs(u @ diffs.T).sum(axis=1)
+            bra = states.conj()
+            proj = np.empty((m, d))
+            for x in range(d):
+                proj[:, x] = np.einsum("ij,ij->i", bra, states @ steps[x].T).real
+            vals = coef * np.abs(proj).sum(axis=1)
         partial_sums.append(float(vals.sum()))
         partial_sqs.append(float(np.dot(vals, vals)))
         done += m

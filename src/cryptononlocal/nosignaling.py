@@ -24,6 +24,7 @@ one hidden unit vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +96,13 @@ class ConditionalDistribution:
         p = self.probs
         if p.shape != (self.n, self.n, self.d, self.d):
             raise ValueError(f"probs shape {p.shape} does not match (n, n, d, d)")
+        # NaN compares False, so the sign and sum checks would pass it
+        deviation = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
+        if not math.isfinite(deviation):
+            raise ValueError("non-finite entry")
         if p.min() < -tol:
             raise ValueError("negative probability entry")
-        if np.abs(p.sum(axis=(2, 3)) - 1.0).max() > tol:
+        if deviation > tol:
             raise ValueError("setting pair not normalized")
 
 

@@ -112,14 +112,17 @@ class JointDistribution:
     probs: np.ndarray
 
     def validate(self, tol: float = PROB_TOL) -> None:
-        """Check normalization and the no-signaling property of marginals."""
+        """Check finiteness, normalization and no-signaling of the marginals."""
         p = self.probs
         if p.shape != (self.n, self.n, self.d, self.d):
             raise ValueError(f"probs shape {p.shape} does not match (n, n, d, d)")
+        # NaN compares False, so the sign and sum checks would pass it
+        deviation = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
+        if not math.isfinite(deviation):
+            raise ValueError("non-finite entry")
         if p.min() < 0:
             raise ValueError("negative probability entry")
-        totals = p.sum(axis=(2, 3))
-        if np.abs(totals - 1.0).max() > tol:
+        if deviation > tol:
             raise ValueError("setting pair not normalized")
         alice = p.sum(axis=3)
         bob = p.sum(axis=2)

@@ -185,6 +185,18 @@ def test_verify_rejects_signaling_fixture(capsys, tmp_path):
     assert "signals" in err
 
 
+def test_verify_rejects_non_finite_fixture(capsys, tmp_path):
+    probs = np.full((2, 2, 2, 2), np.nan)
+    fixture = tmp_path / "nan.json"
+    fixture.write_text(json.dumps({"d": 2, "n": 2, "probs": probs.tolist()}))
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "theorem1", "--input", str(fixture)
+    )
+    assert code == 2
+    assert "non-finite entry" in err
+    assert "signals" not in err
+
+
 def test_verify_accepts_no_signaling_fixture(capsys, tmp_path):
     probs = np.full((2, 2, 2, 2), 0.25)
     fixture = tmp_path / "uniform.json"

@@ -10,6 +10,7 @@ from cryptononlocal.bloch import (
     substream,
 )
 from cryptononlocal.leggett import (
+    _MC_CHUNK,
     CriticalNotFoundError,
     LocalModel,
     basis_to_bloch,
@@ -130,6 +131,57 @@ def test_mc_bound_haar_mode_runs():
     model = LocalModel(d=3, u_mode="haar-pure")
     est = leggett_bound_mc(_cglmp_basis(3), model, 20_000, 61)
     assert est.value > 0
+
+
+def _haar_mc_oracle(basis, eta, n_samples, rng):
+    # per-sample Bloch map, drawing the same chunks as leggett_bound_mc
+    d = basis.d
+    diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
+    chunks = []
+    done = 0
+    while done < n_samples:
+        m = min(_MC_CHUNK, n_samples - done)
+        gen = substream(rng, len(chunks)) if isinstance(rng, int) else rng
+        states = sample_haar_pure(d, gen, size=m)
+        u = np.stack([state_to_bloch(s) for s in states])
+        chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
+        done += m
+    vals = np.concatenate(chunks)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
+
+
+@pytest.mark.parametrize(
+    "d,eta,n_samples,rng",
+    [
+        (2, 1.0, 3000, 11),
+        (3, 0.7, 3000, 12),
+        (4, 1.0, 3000, 13),
+        (5, 0.5, 3000, 14),
+        (6, 1.0, 3000, 15),
+        (3, 1.0, _MC_CHUNK + 4000, 16),
+        (4, 0.9, 5000, "generator"),
+    ],
+)
+def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, rng):
+    basis = _cglmp_basis(d)
+    model = LocalModel(d=d, eta=eta, u_mode="haar-pure")
+    if rng == "generator":
+        est = leggett_bound_mc(basis, model, n_samples, substream(17, 0))
+        value, stderr = _haar_mc_oracle(basis, eta, n_samples, substream(17, 0))
+    else:
+        est = leggett_bound_mc(basis, model, n_samples, rng)
+        value, stderr = _haar_mc_oracle(basis, eta, n_samples, rng)
+    assert est.samples == n_samples
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert est.std_error == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_mc_bound_haar_matches_exact_value(d):
+    # Haar weights are flat Dirichlet, so the exact Haar-pure bound is eta/d
+    model = LocalModel(d=d, eta=0.8, u_mode="haar-pure")
+    est = leggett_bound_mc(_cglmp_basis(d), model, 200_000, 80 + d)
+    assert abs(est.value - 0.8 / d) < 5 * est.std_error
 
 
 def test_mc_bound_independent_of_chain_basis():

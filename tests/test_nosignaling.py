@@ -223,3 +223,14 @@ def test_conditional_distribution_validate():
     ConditionalDistribution(d=2, n=2, probs=probs).validate()
     with pytest.raises(ValueError, match="normalized"):
         ConditionalDistribution(d=2, n=2, probs=probs * 0.5).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_conditional_distribution_validate_rejects_non_finite(bad):
+    everywhere = np.full((2, 2, 2, 2), bad)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        ConditionalDistribution(d=2, n=2, probs=everywhere).validate()
+    one = np.full((2, 2, 2, 2), 0.25)
+    one[1, 0, 1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        ConditionalDistribution(d=2, n=2, probs=one).validate()

@@ -5,6 +5,7 @@ import pytest
 
 from cryptononlocal.quantum import (
     ChainedSettings,
+    JointDistribution,
     asymptotic_chained_value,
     cglmp_bases,
     cglmp_chained_value,
@@ -153,3 +154,14 @@ def test_dimension_validation():
         joint_from_bases(
             maximally_entangled(3), *cglmp_bases(chained_settings(2, 2))
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_joint_distribution_validate_rejects_non_finite(bad):
+    everywhere = np.full((2, 2, 2, 2), bad)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        JointDistribution(d=2, n=2, probs=everywhere).validate()
+    one = np.full((2, 2, 2, 2), 0.25)
+    one[0, 1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        JointDistribution(d=2, n=2, probs=one).validate()
