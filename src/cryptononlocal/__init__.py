@@ -9,8 +9,6 @@ on the command line.
 """
 
 from .bloch import (
-    OperatorBasis,
-    bloch_overlap,
     bloch_to_density,
     expected_abs_projection,
     generate_basis,
@@ -35,13 +33,11 @@ from .leggett import (
     leggett_bound_analytic,
     leggett_bound_floor,
     leggett_bound_mc,
-    marginal,
     marginal_distribution,
     multi_plane_families,
 )
 from .nosignaling import (
     AgreementReport,
-    ConditionalDistribution,
     ContradictionReport,
     DeterministicStrategy,
     NoSignalingReport,

@@ -24,17 +24,14 @@ without sharing mutable state, and results depend only on (seed, index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "OperatorBasis",
     "generate_basis",
     "state_to_bloch",
     "bloch_to_density",
-    "bloch_overlap",
     "is_pure_bloch",
     "expected_abs_projection",
     "substream",
@@ -42,21 +39,6 @@ __all__ = [
     "sample_haar_pure",
     "haar_unitary",
 ]
-
-
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Traceless Hermitian operator basis for one Hilbert-space dimension.
-
-    ``matrices`` has shape (d**2 - 1, d, d) and satisfies
-    ``Tr(matrices[i] @ matrices[j]) == 2 * delta_ij``.
-    """
-
-    dimension: int
-    matrices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.matrices.shape[0]
 
 
 @lru_cache(maxsize=None)
@@ -84,15 +66,17 @@ def _basis_matrices(d: int) -> np.ndarray:
     return out
 
 
-def generate_basis(d: int) -> OperatorBasis:
+def generate_basis(d: int) -> np.ndarray:
     """Return the generalized Gell-Mann basis for dimension ``d``.
 
-    Ordering: symmetric pairs, antisymmetric pairs, diagonal matrices.
-    Raises ValueError for d < 2.
+    A read-only array of shape (d**2 - 1, d, d) with
+    ``Tr(basis[i] @ basis[j]) == 2 * delta_ij``.  Ordering: symmetric
+    pairs, antisymmetric pairs, diagonal matrices.  Raises ValueError for
+    d < 2.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return OperatorBasis(dimension=int(d), matrices=_basis_matrices(int(d)))
+    return _basis_matrices(int(d))
 
 
 def _bloch_scale(d: int) -> float:
@@ -119,7 +103,7 @@ def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     nrm2 = float(np.sum(np.abs(psi) ** 2))
     if abs(nrm2 - 1.0) > 1e-12:
         raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
-    mats = generate_basis(d).matrices
+    mats = generate_basis(d)
     # Tr(|psi><psi| L) = <psi| L |psi>
     tr = np.einsum("i,kij,j->k", psi.conj(), mats, psi)
     return np.real(tr) * _bloch_scale(d)
@@ -132,23 +116,10 @@ def bloch_to_density(u: np.ndarray, d: int | None = None) -> np.ndarray:
         d = int(round(math.sqrt(u.shape[0] + 1)))
     if d * d - 1 != u.shape[0]:
         raise ValueError(f"coordinate length {u.shape[0]} does not match d={d}")
-    mats = generate_basis(d).matrices
+    mats = generate_basis(d)
     return np.eye(d, dtype=complex) / d + math.sqrt((d - 1) / (2.0 * d)) * np.einsum(
         "k,kij->ij", u, mats
     )
-
-
-def bloch_overlap(a: np.ndarray, u: np.ndarray) -> float:
-    """Euclidean dot product of two Bloch coordinate vectors.
-
-    For coordinate vectors of two pure states the value lies in
-    [-1/(d-1), 1].
-    """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if a.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {u.shape}")
-    return float(a @ u)
 
 
 def is_pure_bloch(u: np.ndarray, d: int | None = None, tol: float = 1e-10) -> bool:

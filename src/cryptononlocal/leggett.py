@@ -48,7 +48,6 @@ __all__ = [
     "basis_to_bloch",
     "LocalModel",
     "BoundEstimate",
-    "marginal",
     "marginal_distribution",
     "leggett_bound_mc",
     "leggett_bound_analytic",
@@ -117,36 +116,29 @@ class LocalModel:
     ``u_mode`` selects the hidden-state distribution on Alice's side:
     "sphere-uniform" (all of S^{d^2-2}, including non-physical points),
     "haar-pure" (Bloch vectors of Haar-random pure states) or "fixed"
-    (a single direction, supplied in ``fixed_u``).  Bob's hidden state is
-    recorded for completeness but never enters the bound.
+    (a single direction, supplied in ``fixed_u``).
     """
 
     d: int
     eta: float = 1.0
     u_mode: str = "sphere-uniform"
     fixed_u: np.ndarray | None = None
-    v_mode: str = "sphere-uniform"
-    fixed_v: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        for mode, vec, name in (
-            (self.u_mode, self.fixed_u, "u"),
-            (self.v_mode, self.fixed_v, "v"),
-        ):
-            if mode not in U_MODES:
-                raise ValueError(f"unknown {name}_mode {mode!r}")
-            if mode == "fixed":
-                if vec is None:
-                    raise ValueError(f"fixed {name}_mode requires fixed_{name}")
-                vec = np.asarray(vec, dtype=float)
-                if vec.shape != (self.d * self.d - 1,):
-                    raise ValueError(f"fixed_{name} has wrong length")
-                if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                    raise ValueError(f"fixed_{name} must be unit norm")
+        if self.u_mode not in U_MODES:
+            raise ValueError(f"unknown u_mode {self.u_mode!r}")
+        if self.u_mode == "fixed":
+            if self.fixed_u is None:
+                raise ValueError("fixed u_mode requires fixed_u")
+            vec = np.asarray(self.fixed_u, dtype=float)
+            if vec.shape != (self.d * self.d - 1,):
+                raise ValueError("fixed_u has wrong length")
+            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+                raise ValueError("fixed_u must be unit norm")
 
 
 @dataclass(frozen=True)
@@ -158,23 +150,15 @@ class BoundEstimate:
     samples: int
 
 
-def marginal(
-    x: int, basis: MeasurementBasisBloch, u: np.ndarray, eta: float = 1.0
-) -> tuple[float, bool]:
-    """Model marginal for outcome ``x`` plus a validity flag.
-
-    The flag is False when any outcome of the basis would receive a
-    negative value at this ``u`` (possible for non-physical sphere points);
-    values are reported unclamped either way.
-    """
-    values, valid = marginal_distribution(basis, u, eta)
-    return float(values[x]), valid
-
-
 def marginal_distribution(
     basis: MeasurementBasisBloch, u: np.ndarray, eta: float = 1.0
 ) -> tuple[np.ndarray, bool]:
-    """All d outcome marginals ``[1 + eta (d-1) a^x . u] / d`` and validity."""
+    """All d outcome marginals ``[1 + eta (d-1) a^x . u] / d`` and validity.
+
+    The flag is False when any outcome would receive a negative value at
+    this ``u`` (possible for non-physical sphere points); values are
+    reported unclamped either way.
+    """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     u = np.asarray(u, dtype=float).reshape(-1)

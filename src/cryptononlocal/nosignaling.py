@@ -24,19 +24,17 @@ one hidden unit vector.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import substream
 from .leggett import basis_to_bloch
-from .quantum import chained_value
+from .quantum import JointDistribution, _as_probs, _signaling_residuals, chained_value
 
 __all__ = [
     "statistical_distance",
     "shift_distance",
-    "ConditionalDistribution",
     "NoSignalingReport",
     "check_no_signaling",
     "random_no_signaling",
@@ -85,28 +83,6 @@ def shift_distance(p: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ConditionalDistribution:
-    """Conditional outcome distribution, ``probs[A-1, B-1, X, Y]``."""
-
-    d: int
-    n: int
-    probs: np.ndarray
-
-    def validate(self, tol: float = 1e-12) -> None:
-        p = self.probs
-        if p.shape != (self.n, self.n, self.d, self.d):
-            raise ValueError(f"probs shape {p.shape} does not match (n, n, d, d)")
-        # NaN compares False, so the sign and sum checks would pass it
-        deviation = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
-        if not math.isfinite(deviation):
-            raise ValueError("non-finite entry")
-        if p.min() < -tol:
-            raise ValueError("negative probability entry")
-        if deviation > tol:
-            raise ValueError("setting pair not normalized")
-
-
-@dataclass(frozen=True)
 class NoSignalingReport:
     alice_residual: float
     bob_residual: float
@@ -117,11 +93,7 @@ class NoSignalingReport:
 
 def check_no_signaling(dist, tol: float = 1e-12) -> NoSignalingReport:
     """Largest variation of either party's marginals across remote settings."""
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
-    alice = probs.sum(axis=3)  # (A, B, X)
-    bob = probs.sum(axis=2)  # (A, B, Y)
-    res_a = float(np.ptp(alice, axis=1).max())  # spread across Bob's settings
-    res_b = float(np.ptp(bob, axis=0).max())
+    res_a, res_b = _signaling_residuals(_as_probs(dist))
     residual = max(res_a, res_b)
     return NoSignalingReport(
         alice_residual=res_a,
@@ -134,7 +106,7 @@ def check_no_signaling(dist, tol: float = 1e-12) -> NoSignalingReport:
 
 def random_no_signaling(
     d: int, n: int, mix: float, rng: np.random.Generator | int
-) -> ConditionalDistribution:
+) -> JointDistribution:
     """Random no-signaling distribution built from provably safe blocks.
 
     A convex mixture of (i) local deterministic strategies and (ii)
@@ -142,6 +114,10 @@ def random_no_signaling(
     (1 - mix) : mix.  Both blocks are no-signaling by construction, so no
     projection or clipping is ever needed.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
     gen = substream(int(rng), 0) if isinstance(rng, (int, np.integer)) else rng
@@ -168,7 +144,7 @@ def random_no_signaling(
         y = (x[None, None, :] + f[:, :, None]) % d
         probs[a_idx, b_idx, x[None, None, :], y] += mix * v[i] / d
 
-    dist = ConditionalDistribution(d=d, n=n, probs=probs)
+    dist = JointDistribution(d=d, n=n, probs=probs)
     dist.validate()
     return dist
 
@@ -189,12 +165,12 @@ def verify_shift_bound(dist, tol: float = 1e-9) -> ShiftBoundReport:
     is I_N minus the largest per-setting shift distance and must stay above
     -tol.
     """
-    ns = check_no_signaling(dist, tol)
+    probs = _as_probs(dist)
+    ns = check_no_signaling(probs, tol)
     if not ns.passed:
         raise ValueError(
             f"input distribution signals (residual {ns.residual:.3g} > {tol:.3g})"
         )
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
     i_n = chained_value(probs)
     marg = probs.sum(axis=3).mean(axis=1)  # (A, X), B-averaged
     shifts = np.abs(marg - np.roll(marg, -1, axis=1)).sum(axis=1) / probs.shape[2]
@@ -222,7 +198,7 @@ def check_agreement_bound(dist, a: int, b: int, tol: float = 1e-9) -> AgreementR
 
     ``a`` and ``b`` are 1-based setting indices.
     """
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
+    probs = _as_probs(dist)
     n, d = probs.shape[0], probs.shape[2]
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"setting indices ({a}, {b}) out of range 1..{n}")

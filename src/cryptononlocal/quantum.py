@@ -95,41 +95,56 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
-def _clip_probs(probs: np.ndarray) -> np.ndarray:
-    """Clip entries in [-1e-12, 0) to zero; reject anything more negative."""
-    lowest = float(probs.min())
-    if lowest < -PROB_TOL:
-        raise ValueError(f"probability entry {lowest} below -{PROB_TOL}")
-    return np.clip(probs, 0.0, None)
+def _as_probs(dist) -> np.ndarray:
+    """The ``(n, n, d, d)`` tensor of a JointDistribution or of a bare array."""
+    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
+    shape = probs.shape
+    if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
+        raise ValueError(f"expected shape (n, n, d, d), got {shape}")
+    return probs
+
+
+def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
+    """Largest spread of Alice's marginals over Bob's settings, and vice versa."""
+    alice = probs.sum(axis=3)  # (A, B, X)
+    bob = probs.sum(axis=2)  # (A, B, Y)
+    return float(np.ptp(alice, axis=1).max()), float(np.ptp(bob, axis=0).max())
 
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Quantum joint outcome distribution, ``probs[A-1, B-1, X, Y]``."""
+    """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``."""
 
     d: int
     n: int
     probs: np.ndarray
 
-    def validate(self, tol: float = PROB_TOL) -> None:
-        """Check finiteness, normalization and no-signaling of the marginals."""
+    def validate(self, tol: float = PROB_TOL, no_signaling: bool = False) -> None:
+        """Check shape, finiteness, sign (entries >= -tol) and normalization.
+
+        With ``no_signaling`` also require each party's marginals to vary by
+        at most ``tol`` across the other party's settings.
+        """
         p = self.probs
-        if p.shape != (self.n, self.n, self.d, self.d):
-            raise ValueError(f"probs shape {p.shape} does not match (n, n, d, d)")
+        expected = (self.n, self.n, self.d, self.d)
+        if p.shape != expected:
+            raise ValueError(
+                f"probs shape {p.shape} does not match (n, n, d, d) = {expected}"
+            )
         # NaN compares False, so the sign and sum checks would pass it
         deviation = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
         if not math.isfinite(deviation):
             raise ValueError("non-finite entry")
-        if p.min() < 0:
+        if p.min() < -tol:
             raise ValueError("negative probability entry")
         if deviation > tol:
             raise ValueError("setting pair not normalized")
-        alice = p.sum(axis=3)
-        bob = p.sum(axis=2)
-        res_a = np.ptp(alice, axis=1).max()
-        res_b = np.ptp(bob, axis=0).max()
-        if max(res_a, res_b) > tol:
-            raise ValueError(f"signaling residual {max(res_a, res_b)} above {tol}")
+        if no_signaling:
+            residual = max(_signaling_residuals(p))
+            if residual > tol:
+                raise ValueError(
+                    f"distribution signals (residual {residual:.3g} > {tol:.3g})"
+                )
 
 
 def joint_from_bases(
@@ -151,9 +166,8 @@ def joint_from_bases(
     # amp[A,B,X,Y] = <X_A (x) Y_B | psi>
     half = np.einsum("axj,jk->axk", alice.conj(), smat)
     amp = np.einsum("axk,byk->abxy", half, bob.conj(), optimize=True)
-    probs = _clip_probs(np.abs(amp) ** 2)
-    dist = JointDistribution(d=d, n=n, probs=probs)
-    dist.validate()
+    dist = JointDistribution(d=d, n=n, probs=np.abs(amp) ** 2)
+    dist.validate(no_signaling=True)
     return dist
 
 
@@ -191,15 +205,14 @@ def closed_form_probs(settings: ChainedSettings) -> np.ndarray:
     return pm[:, :, m] / d
 
 
-def expected_mod(
-    dist: JointDistribution, a: int, b: int, sign: int = 1, offset: int = 0
-) -> float:
+def expected_mod(dist, a: int, b: int, sign: int = 1, offset: int = 0) -> float:
     """Mean of ``[sign*(X - Y) + offset] mod d`` at setting pair (a, b).
 
-    ``a`` and ``b`` are 1-based setting indices.
+    Accepts a JointDistribution or a bare (N, N, d, d) array; ``a`` and
+    ``b`` are 1-based setting indices.
     """
-    probs = dist.probs
-    n, d = dist.n, dist.d
+    probs = _as_probs(dist)
+    n, d = probs.shape[0], probs.shape[2]
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"setting indices ({a}, {b}) out of range 1..{n}")
     if sign not in (1, -1):
@@ -210,26 +223,14 @@ def expected_mod(
     return float(np.sum(weights * probs[a - 1, b - 1]))
 
 
-def _probs_of(dist) -> tuple[np.ndarray, int, int]:
-    probs = getattr(dist, "probs", None)
-    if probs is None:
-        probs = np.asarray(dist, dtype=float)
-        n, d = probs.shape[0], probs.shape[2]
-    else:
-        n, d = dist.n, dist.d
-    if probs.shape != (n, n, d, d):
-        raise ValueError(f"expected shape (n, n, d, d), got {probs.shape}")
-    return probs, n, d
-
-
 def chained_value(dist) -> float:
     """The chained quantity I_N of a joint distribution tensor.
 
-    Accepts a JointDistribution, any object with fields ``probs``/``n``/``d``,
-    or a bare (N, N, d, d) array.  The wrap pairs setting A=1 with B=N and
-    shifts Alice's outcome by one.
+    Accepts a JointDistribution or a bare (N, N, d, d) array.  The wrap
+    pairs setting A=1 with B=N and shifts Alice's outcome by one.
     """
-    probs, n, d = _probs_of(dist)
+    probs = _as_probs(dist)
+    n, d = probs.shape[0], probs.shape[2]
     x = np.arange(d)[:, None]
     y = np.arange(d)[None, :]
     w_xy = (x - y) % d

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cryptononlocal.bloch import (
-    bloch_overlap,
     bloch_to_density,
     expected_abs_projection,
     generate_basis,
@@ -21,8 +20,7 @@ ATOL = 1e-12
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_basis_invariants(d):
-    basis = generate_basis(d)
-    mats = basis.matrices
+    mats = generate_basis(d)
     assert mats.shape == (d * d - 1, d, d)
     assert np.abs(mats - mats.conj().transpose(0, 2, 1)).max() < ATOL
     assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() < ATOL
@@ -31,7 +29,7 @@ def test_basis_invariants(d):
 
 
 def test_basis_d2_is_pauli():
-    mats = generate_basis(2).matrices
+    mats = generate_basis(2)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -78,18 +76,16 @@ def test_orthogonal_state_overlaps():
         # independent oracle: invert the projection rule from the matrix overlap
         tr = abs(np.vdot(e0, e1)) ** 2
         oracle = (d * tr - 1.0) / (d - 1.0)
-        assert abs(bloch_overlap(a, u) - expected) < 1e-10
+        assert abs(a @ u - expected) < 1e-10
         assert abs(oracle - expected) < ATOL
 
 
 def test_overlap_self_and_mismatch():
     u = state_to_bloch(np.array([1, 0, 0], dtype=complex))
-    assert abs(bloch_overlap(u, u) - 1.0) < ATOL
+    assert abs(u @ u - 1.0) < ATOL
     perp = np.zeros_like(u)
     perp[0] = 1.0  # off-diagonal coordinate, orthogonal to a diagonal state
-    assert bloch_overlap(perp, u) == 0.0
-    with pytest.raises(ValueError, match="mismatch"):
-        bloch_overlap(u, np.zeros(3))
+    assert perp @ u == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -99,7 +95,7 @@ def test_overlap_range_for_random_pure_pairs(d):
     for _ in range(200):
         a = state_to_bloch(sample_haar_pure(d, rng))
         u = state_to_bloch(sample_haar_pure(d, rng))
-        val = bloch_overlap(a, u)
+        val = a @ u
         assert lo <= val <= 1.0 + 1e-9
 
 

@@ -218,3 +218,120 @@ def test_verify_determinism(capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (("gamma", "--d", "1"), "d must"),
+        (("in", "--d", "1", "--n", "5"), "d must"),
+        (("in", "--d", "3", "--n", "0"), "n must"),
+        (("bound", "--d", "1"), "d must"),
+        (("bound", "--d", "3", "--eta", "0"), "eta"),
+        (("bound", "--d", "3", "--eta", "1.5", "--analytic"), "eta"),
+        (("bound", "--d", "3", "--mc", "--samples", "0"), "samples"),
+        (("ncrit", "--d", "1"), "d must"),
+        (("ncrit", "--d", "3", "--eta", "0"), "eta"),
+        (("ncrit", "--d", "3", "--nmax", "1"), "max"),
+        (("verify", "--suite", "theorem1", "--d", "1"), "d must"),
+        (("verify", "--suite", "theorem1", "--n", "0"), "n must"),
+        (("verify", "--suite", "theorem1", "--trials", "0"), "trials"),
+        (("verify", "--suite", "lhv", "--d", "10", "--n", "5"), "guard"),
+        (("sweep", "--fig", "2", "--d-range", "1..3"), "range"),
+        (("sweep", "--fig", "2", "--eta-list", "0"), "eta"),
+    ],
+)
+def test_bad_arguments_exit_2_and_name_the_parameter(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert needle in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "extra,rows",
+    [
+        (("--n-range", "2..1000000000"), 999_999_999),
+        (("--n-range", "2..1000001"), 1_000_000),
+        (("--n-range", "2..1000002"), 1_000_001),
+        (("--n-range", "1..250001", "--d-range", "2..5"), 1_000_004),
+        (("--n-range", "1..100001", "--eta-list", ",".join(["0.5"] * 10)), 1_000_010),
+    ],
+)
+def test_sweep_caps_the_row_count(capsys, monkeypatch, extra, rows):
+    monkeypatch.setattr("cryptononlocal.cli._sweep_rows", lambda *_: [])
+    code, _, err = run_cli(capsys, "sweep", "--fig", "2", *extra)
+    if rows <= 10**6:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"sweep of {rows} rows exceeds the cap of 1000000 rows" in err
+
+
+def _uniform_probs(d=2, n=2):
+    return np.full((n, n, d, d), 1.0 / (d * d))
+
+
+def _probs_with(value, at=(0, 0, 0, 0)):
+    probs = _uniform_probs().astype(object)
+    probs[at] = value
+    return probs.tolist()
+
+
+def _negative_probs():
+    probs = _uniform_probs()
+    probs[0, 0, 0, 0] = -0.25
+    probs[0, 0, 0, 1] = 0.75
+    return probs.tolist()
+
+
+def _signaling_probs():
+    probs = np.zeros((2, 2, 2, 2))
+    probs[:, 0, 0, 0] = 1.0
+    probs[:, 1, 1, 0] = 1.0  # Alice's outcome tracks Bob's setting
+    return probs.tolist()
+
+
+UNIFORM = _uniform_probs().tolist()
+
+
+def _fx(probs=UNIFORM, **fields):
+    return {"d": 2, "n": 2, "probs": probs, **fields}
+
+
+@pytest.mark.parametrize(
+    "payload,needle",
+    [
+        pytest.param(_fx([[[[0.5, 0.5], [0.0]]]]), "rectangular", id="ragged"),
+        pytest.param(_fx(d=3), "does not match", id="d-mismatch"),
+        pytest.param(_fx(n=3), "does not match", id="n-mismatch"),
+        pytest.param(_fx(_probs_with("x")), "numbers", id="string"),
+        pytest.param(_fx(_probs_with({})), "numbers", id="object"),
+        pytest.param(_fx(_negative_probs()), "negative", id="negative"),
+        pytest.param(
+            _fx((_uniform_probs() * 1.2).tolist()), "not normalized", id="unnormalized"
+        ),
+        pytest.param(_fx(n=10**12), "does not match", id="huge-n"),
+        pytest.param(_fx(_probs_with(float("nan"))), "non-finite entry", id="nan"),
+        pytest.param(_fx(_signaling_probs()), "signals", id="signaling"),
+        pytest.param([2, 2, UNIFORM], "JSON object", id="top-level-list"),
+        pytest.param(_fx(d=2.5), "d must be an integer >= 2, got 2.5", id="float-d"),
+        pytest.param(
+            _fx(np.ones((2, 2, 1, 1)).tolist(), d=1),
+            "d must be an integer >= 2, got 1",
+            id="d-one",
+        ),
+        pytest.param(_fx([], n=0), "n must be an integer >= 1", id="n-zero"),
+        pytest.param({"d": 2, "probs": UNIFORM}, "missing key 'n'", id="missing-key"),
+        pytest.param("{d: 2, n: 2}", "not JSON", id="not-json"),
+    ],
+)
+def test_verify_input_rejects_bad_fixture(capsys, tmp_path, payload, needle):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "theorem1", "--input", str(fixture)
+    )
+    assert code == 2
+    assert needle in err
+    assert out == ""

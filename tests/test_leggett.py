@@ -19,7 +19,6 @@ from cryptononlocal.leggett import (
     leggett_bound_analytic,
     leggett_bound_floor,
     leggett_bound_mc,
-    marginal,
     marginal_distribution,
     multi_plane_families,
 )
@@ -64,13 +63,11 @@ def test_basis_to_bloch_rejects_non_orthonormal():
 def test_marginal_aligned_and_orthogonal():
     d = 3
     mb = _cglmp_basis(d)
-    val, valid = marginal(0, mb, mb.vectors[0], eta=1.0)
-    assert val == pytest.approx(1.0, abs=1e-10)
+    values, valid = marginal_distribution(mb, mb.vectors[0], eta=1.0)
+    assert values[0] == pytest.approx(1.0, abs=1e-10)
     assert valid
     # outcome orthogonal to the hidden state has probability zero
-    val, valid = marginal(1, mb, mb.vectors[0], eta=1.0)
-    assert val == pytest.approx(0.0, abs=1e-10)
-    assert valid
+    assert values[1] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_marginal_unbiased_for_orthogonal_u():

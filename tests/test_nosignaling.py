@@ -3,7 +3,6 @@ import pytest
 
 from cryptononlocal.bloch import substream
 from cryptononlocal.nosignaling import (
-    ConditionalDistribution,
     check_agreement_bound,
     check_no_signaling,
     deterministic_contradiction,
@@ -15,6 +14,7 @@ from cryptononlocal.nosignaling import (
     verify_shift_bound,
 )
 from cryptononlocal.quantum import (
+    JointDistribution,
     cglmp_bases,
     chained_settings,
     joint_distribution,
@@ -96,6 +96,14 @@ def test_random_no_signaling_invariants(mix):
 def test_random_no_signaling_rejects_bad_mix():
     with pytest.raises(ValueError, match="mix"):
         random_no_signaling(2, 2, 1.5, 1)
+
+
+@pytest.mark.parametrize(
+    "d,n,needle", [(1, 3, "d must be >= 2"), (0, 3, "d must"), (3, 0, "n must be >= 1")]
+)
+def test_random_no_signaling_rejects_bad_size(d, n, needle):
+    with pytest.raises(ValueError, match=needle):
+        random_no_signaling(d, n, 0.5, 1)
 
 
 def test_shift_bound_on_random_corpus():
@@ -220,17 +228,17 @@ def test_contradiction_adjacent_settings_matches_dense_search():
 
 def test_conditional_distribution_validate():
     probs = np.full((2, 2, 2, 2), 0.25)
-    ConditionalDistribution(d=2, n=2, probs=probs).validate()
+    JointDistribution(d=2, n=2, probs=probs).validate()
     with pytest.raises(ValueError, match="normalized"):
-        ConditionalDistribution(d=2, n=2, probs=probs * 0.5).validate()
+        JointDistribution(d=2, n=2, probs=probs * 0.5).validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_conditional_distribution_validate_rejects_non_finite(bad):
     everywhere = np.full((2, 2, 2, 2), bad)
     with pytest.raises(ValueError, match="non-finite entry"):
-        ConditionalDistribution(d=2, n=2, probs=everywhere).validate()
+        JointDistribution(d=2, n=2, probs=everywhere).validate()
     one = np.full((2, 2, 2, 2), 0.25)
     one[1, 0, 1, 1] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
-        ConditionalDistribution(d=2, n=2, probs=one).validate()
+        JointDistribution(d=2, n=2, probs=one).validate()

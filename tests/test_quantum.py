@@ -81,10 +81,8 @@ def test_equal_phases_correlate_perfectly():
 
 
 def _uniform_dist(d, n):
-    from cryptononlocal.nosignaling import ConditionalDistribution
-
     probs = np.full((n, n, d, d), 1.0 / (d * d))
-    return ConditionalDistribution(d=d, n=n, probs=probs)
+    return JointDistribution(d=d, n=n, probs=probs)
 
 
 def test_expected_mod():
@@ -95,6 +93,7 @@ def test_expected_mod():
     assert expected_mod(corr, 1, 1) == pytest.approx(0.0, abs=1e-12)
     assert expected_mod(_uniform_dist(2, 2), 1, 2) == pytest.approx(0.5)
     assert expected_mod(_uniform_dist(3, 2), 2, 1) == pytest.approx(1.0)
+    assert expected_mod(corr.probs, 1, 2) == expected_mod(corr, 1, 2)
     with pytest.raises(ValueError, match="out of range"):
         expected_mod(corr, 0, 1)
 
