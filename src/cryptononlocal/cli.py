@@ -126,7 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fig", type=int, choices=(2, 3), required=True)
     p.add_argument("--d-range", type=_parse_range, default=None, metavar="A..B")
     p.add_argument("--eta-list", type=_parse_floats, default=None, metavar="X,Y,..")
-    p.add_argument("--n-range", type=_parse_range, default=None, metavar="A..B")
+    p.add_argument(
+        "--n-range",
+        type=_parse_range,
+        default=None,
+        metavar="A..B",
+        help="N values for --fig 2; --fig 3 reads only B, as the search limit n_max",
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -149,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--input",
         default=None,
-        help="JSON file {d, n, probs} checked instead of generated distributions",
+        help=(
+            "JSON file {d, n, probs} checked instead of generated distributions "
+            "(--suite theorem1 only)"
+        ),
     )
     return parser
 
@@ -333,7 +342,9 @@ def _verify_theorem1(args) -> int:
     if args.input is not None:
         try:
             dist = _load_fixture(args.input)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
+            return _fail(f"cannot read {args.input}: {exc}", EXIT_IO)
+        except ValueError as exc:
             return _fail(f"bad input distribution: {exc}", EXIT_BAD_INPUT)
         report = verify_shift_bound(dist)
         status = "PASS" if report.passed else "FAIL"
@@ -435,6 +446,11 @@ def _verify_contradiction(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         return _fail("trials must be >= 1", EXIT_BAD_INPUT)
+    if args.input is not None and args.suite != "theorem1":
+        return _fail(
+            f"--input is read only by --suite theorem1, not --suite {args.suite}",
+            EXIT_BAD_INPUT,
+        )
     handler = {
         "theorem1": _verify_theorem1,
         "lemma": _verify_lemma,

@@ -335,3 +335,26 @@ def test_verify_input_rejects_bad_fixture(capsys, tmp_path, payload, needle):
     assert code == 2
     assert needle in err
     assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["lemma", "lhv", "contradiction"])
+def test_verify_input_only_for_theorem1(capsys, tmp_path, suite):
+    fixture = tmp_path / "bad.json"
+    fixture.write_text("[1,2")
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--d", "2", "--n", "2",
+        "--trials", "2", "--input", str(fixture),
+    )
+    assert code == 2
+    assert "--input is read only by --suite theorem1" in err
+    assert out == ""
+
+
+def test_verify_unreadable_input_is_an_io_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "theorem1", "--input", str(missing)
+    )
+    assert code == 4
+    assert f"cannot read {missing}" in err
+    assert out == ""

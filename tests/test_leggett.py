@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cryptononlocal import leggett
 from cryptononlocal.bloch import (
     expected_abs_projection,
     sample_haar_pure,
@@ -246,6 +247,86 @@ def test_find_critical_n_not_found_carries_gap():
         find_critical_n(3, 0.1, 5)
     expected_gap = cglmp_chained_value(3, 5) - leggett_bound_floor(3, 0.1)
     assert info.value.gap == pytest.approx(expected_gap, abs=1e-12)
+
+
+def _scan_oracle(d, eta, n_max):
+    """The linear scan from N = 1 that the bisection replaced."""
+    bound = leggett_bound_floor(d, eta)
+    value = math.inf
+    for n in range(1, n_max + 1):
+        value = cglmp_chained_value(d, n)
+        if value < bound:
+            return n
+    raise CriticalNotFoundError("no violation", gap=value - bound)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_find_critical_n_matches_scan_oracle(d):
+    for eta in (0.5, 0.7, 0.9, 1.0):
+        assert find_critical_n(d, eta, 2000) == _scan_oracle(d, eta, 2000)
+
+
+@pytest.mark.parametrize("d,eta", [(2, 1.0), (3, 1.0), (3, 0.5), (8, 0.7)])
+def test_find_critical_n_at_the_scan_limit(d, eta):
+    n_crit = _scan_oracle(d, eta, 2000)
+    bound = leggett_bound_floor(d, eta)
+    assert find_critical_n(d, eta, n_crit) == n_crit
+    assert find_critical_n(d, eta, n_crit + 1) == n_crit
+    for n_max in (n_crit - 1, 2):
+        with pytest.raises(CriticalNotFoundError) as info:
+            find_critical_n(d, eta, n_max)
+        assert info.value.gap == cglmp_chained_value(d, n_max) - bound
+
+
+@pytest.mark.parametrize("n_max", [100.0, 100.5])
+def test_find_critical_n_rejects_non_integer_limit(n_max):
+    with pytest.raises(TypeError):
+        find_critical_n(3, 1.0, n_max)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 17, 1000, 100_000])
+def test_find_critical_n_bisects_in_log_evaluations(monkeypatch, n_max):
+    # a synthetic strictly decreasing I_N equal to the floor at N = k - 1,
+    # so the first violation is at k; k = n_max + 1 means none up to n_max
+    bound = leggett_bound_floor(3)
+    budget = math.ceil(math.log2(n_max)) + 1
+    for k in sorted({1, 2, n_max // 2, n_max, n_max + 1}):
+        calls = []
+
+        def fake(d, n):
+            calls.append(n)
+            return bound + (k - 1 - n)
+
+        monkeypatch.setattr(leggett, "cglmp_chained_value", fake)
+        if k <= n_max:
+            assert find_critical_n(3, 1.0, n_max) == k
+        else:
+            with pytest.raises(CriticalNotFoundError) as info:
+                find_critical_n(3, 1.0, n_max)
+            assert info.value.gap == 0.0
+        assert len(calls) <= budget
+
+
+@pytest.mark.parametrize("d,eta", [(3, 1.0), (24, 0.5)])
+def test_find_critical_n_evaluation_count(monkeypatch, d, eta):
+    calls = []
+
+    def counted(d, n):
+        calls.append(n)
+        return cglmp_chained_value(d, n)
+
+    monkeypatch.setattr(leggett, "cglmp_chained_value", counted)
+    n = find_critical_n(d, eta, 100_000)
+    assert len(calls) <= math.ceil(math.log2(100_000)) + 1
+    bound = leggett_bound_floor(d, eta)
+    assert cglmp_chained_value(d, n) < bound <= cglmp_chained_value(d, n - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 24])
+def test_chained_value_strictly_decreasing(d):
+    # the precondition under which bisection and a scan from N = 1 agree
+    values = [cglmp_chained_value(d, n) for n in range(1, 3000)]
+    assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_multi_plane_identity_for_k1():
