@@ -104,11 +104,21 @@ def _as_probs(dist) -> np.ndarray:
     return probs
 
 
-def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
+def _marginals(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's (A, B, X) and Bob's (A, B, Y) outcome marginals, one pass each.
+
+    ``einsum`` runs the short d-axis reductions about twice as fast as
+    ``sum(axis=...)`` on large tensors and no slower on small ones.
+    """
+    return np.einsum("abxy->abx", probs), np.einsum("abxy->aby", probs)
+
+
+def _signaling_residuals(alice: np.ndarray, bob: np.ndarray) -> tuple[float, float]:
     """Largest spread of Alice's marginals over Bob's settings, and vice versa."""
-    alice = probs.sum(axis=3)  # (A, B, X)
-    bob = probs.sum(axis=2)  # (A, B, Y)
-    return float(np.ptp(alice, axis=1).max()), float(np.ptp(bob, axis=0).max())
+    # reducing over the leading axis runs on long rows, over axis 1 on
+    # d-long ones: the transposed copy costs less than it saves
+    alice_by_b = np.ascontiguousarray(alice.transpose(1, 0, 2))  # (B, A, X)
+    return float(np.ptp(alice_by_b, axis=0).max()), float(np.ptp(bob, axis=0).max())
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,9 @@ class JointDistribution:
             raise ValueError(
                 f"probs shape {p.shape} does not match (n, n, d, d) = {expected}"
             )
+        alice, bob = _marginals(p)
         # NaN compares False, so the sign and sum checks would pass it
-        deviation = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
+        deviation = np.abs(np.einsum("abx->ab", alice) - 1.0).max()
         if not math.isfinite(deviation):
             raise ValueError("non-finite entry")
         if p.min() < -tol:
@@ -140,7 +151,7 @@ class JointDistribution:
         if deviation > tol:
             raise ValueError("setting pair not normalized")
         if no_signaling:
-            residual = max(_signaling_residuals(p))
+            residual = max(_signaling_residuals(alice, bob))
             if residual > tol:
                 raise ValueError(
                     f"distribution signals (residual {residual:.3g} > {tol:.3g})"
@@ -153,20 +164,29 @@ def joint_from_bases(
     """Born-rule joint distribution of a bipartite state under given bases.
 
     ``alice``/``bob`` have shape (N, d, d) with rows ``[setting, outcome, :]``.
+    All N^2 d^2 amplitudes ``<X_A (x) Y_B | psi>`` come from one
+    ``(N d, d) @ (d, N d)`` product; nothing here uses the phase structure
+    of the chained bases, so this stays the independent reference for
+    `closed_form_probs`.
     """
     alice = np.asarray(alice, dtype=complex)
     bob = np.asarray(bob, dtype=complex)
-    n, d = alice.shape[0], alice.shape[1]
+    if alice.ndim != 3 or alice.shape[1] != alice.shape[2]:
+        raise ValueError(f"basis arrays must have shape (N, d, d), got {alice.shape}")
     if bob.shape != alice.shape:
         raise ValueError("Alice and Bob basis arrays must share a shape")
+    n, d = alice.shape[0], alice.shape[1]
     s = np.asarray(state, dtype=complex).reshape(-1)
     if s.shape[0] != d * d:
         raise ValueError(f"state length {s.shape[0]} does not match d={d}")
-    smat = s.reshape(d, d)
-    # amp[A,B,X,Y] = <X_A (x) Y_B | psi>
-    half = np.einsum("axj,jk->axk", alice.conj(), smat)
-    amp = np.einsum("axk,byk->abxy", half, bob.conj(), optimize=True)
-    dist = JointDistribution(d=d, n=n, probs=np.abs(amp) ** 2)
+    # amp[(A, X), (B, Y)] = <X_A (x) Y_B | psi>
+    half = alice.conj().reshape(n * d, d) @ s.reshape(d, d)
+    amp = half @ bob.conj().reshape(n * d, d).T
+    probs = np.empty((n, n, d, d))
+    np.abs(amp.reshape(n, d, n, d).transpose(0, 2, 1, 3), out=probs)
+    del amp
+    probs *= probs
+    dist = JointDistribution(d=d, n=n, probs=probs)
     dist.validate(no_signaling=True)
     return dist
 
@@ -196,13 +216,25 @@ def closed_form_probs(settings: ChainedSettings) -> np.ndarray:
 
     Entry (A, B, X, Y) is ``sin^2(pi theta) / (d^3 sin^2(pi theta / d))``
     with ``theta = Y - X + alpha_A - beta_B``, taking the limit 1/d at
-    theta = 0 (mod d).
+    theta = 0 (mod d).  The closed form is evaluated once per distinct
+    phase gap ``alpha_A - beta_B`` (1296 of them for the standard settings
+    at N = 200, against 40 000 setting pairs) and whole d x d blocks are
+    gathered from there, so every entry is the one an entrywise evaluation
+    gives, bit for bit.
     """
     d, n = settings.d, settings.n
-    f = settings.alpha[:, None] - settings.beta[None, :]
-    pm = _difference_probs(d, f)  # (A, B, m)
+    alpha = np.asarray(settings.alpha, dtype=float)
+    beta = np.asarray(settings.beta, dtype=float)
+    for name, phases in (("alpha", alpha), ("beta", beta)):
+        if phases.shape != (n,):
+            raise ValueError(f"{name} must have shape (n,) = ({n},), got {phases.shape}")
+        if not np.isfinite(phases).all():
+            raise ValueError(f"{name} has a non-finite phase")
+    gaps, where = np.unique(np.subtract.outer(alpha, beta), return_inverse=True)
     m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # m[X, Y] = (Y-X) mod d
-    return pm[:, :, m] / d
+    blocks = _difference_probs(d, gaps)[:, m] / d  # (gap, X, Y)
+    # numpy 2.0 returns the inverse in the input's shape, 1.x flat
+    return blocks[where.reshape(n, n)]
 
 
 def expected_mod(dist, a: int, b: int, sign: int = 1, offset: int = 0) -> float:
