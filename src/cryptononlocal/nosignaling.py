@@ -30,13 +30,7 @@ import numpy as np
 
 from .bloch import substream
 from .leggett import basis_to_bloch
-from .quantum import (
-    JointDistribution,
-    _as_probs,
-    _marginals,
-    _signaling_residuals,
-    chained_value,
-)
+from .quantum import JointDistribution, _as_probs, _signaling_residuals, chained_value
 
 __all__ = [
     "statistical_distance",
@@ -99,7 +93,7 @@ class NoSignalingReport:
 
 def check_no_signaling(dist, tol: float = 1e-12) -> NoSignalingReport:
     """Largest variation of either party's marginals across remote settings."""
-    res_a, res_b = _signaling_residuals(*_marginals(_as_probs(dist)))
+    res_a, res_b = _signaling_residuals(_as_probs(dist))
     residual = max(res_a, res_b)
     return NoSignalingReport(
         alice_residual=res_a,

@@ -104,17 +104,12 @@ def _as_probs(dist) -> np.ndarray:
     return probs
 
 
-def _marginals(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's (A, B, X) and Bob's (A, B, Y) outcome marginals, one pass each.
-
-    ``einsum`` runs the short d-axis reductions about twice as fast as
-    ``sum(axis=...)`` on large tensors and no slower on small ones.
-    """
-    return np.einsum("abxy->abx", probs), np.einsum("abxy->aby", probs)
-
-
-def _signaling_residuals(alice: np.ndarray, bob: np.ndarray) -> tuple[float, float]:
+def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
     """Largest spread of Alice's marginals over Bob's settings, and vice versa."""
+    # einsum runs these short d-axis reductions in one pass, about twice as
+    # fast as sum(axis=...) on large tensors
+    alice = np.einsum("abxy->abx", probs)
+    bob = np.einsum("abxy->aby", probs)
     # reducing over the leading axis runs on long rows, over axis 1 on
     # d-long ones: the transposed copy costs less than it saves
     alice_by_b = np.ascontiguousarray(alice.transpose(1, 0, 2))  # (B, A, X)
@@ -141,9 +136,8 @@ class JointDistribution:
             raise ValueError(
                 f"probs shape {p.shape} does not match (n, n, d, d) = {expected}"
             )
-        alice, bob = _marginals(p)
         # NaN compares False, so the sign and sum checks would pass it
-        deviation = np.abs(np.einsum("abx->ab", alice) - 1.0).max()
+        deviation = np.abs(np.einsum("abxy->ab", p) - 1.0).max()
         if not math.isfinite(deviation):
             raise ValueError("non-finite entry")
         if p.min() < -tol:
@@ -151,7 +145,7 @@ class JointDistribution:
         if deviation > tol:
             raise ValueError("setting pair not normalized")
         if no_signaling:
-            residual = max(_signaling_residuals(alice, bob))
+            residual = max(_signaling_residuals(p))
             if residual > tol:
                 raise ValueError(
                     f"distribution signals (residual {residual:.3g} > {tol:.3g})"

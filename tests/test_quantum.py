@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cryptononlocal.bloch import haar_unitary, sample_haar_pure, substream
+from cryptononlocal.nosignaling import check_no_signaling
 from cryptononlocal.quantum import (
     ChainedSettings,
     JointDistribution,
+    _difference_probs,
     asymptotic_chained_value,
     cglmp_bases,
     cglmp_chained_value,
@@ -164,3 +167,136 @@ def test_joint_distribution_validate_rejects_non_finite(bad):
     one[0, 1, 0, 1] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
         JointDistribution(d=2, n=2, probs=one).validate()
+
+
+def _closed_form_oracle(settings):
+    """Entrywise closed form: the kernel on all N^2 gaps, then an N^2 d^2 gather."""
+    d = settings.d
+    f = settings.alpha[:, None] - settings.beta[None, :]
+    pm = _difference_probs(d, f)  # (A, B, m)
+    m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    return pm[:, :, m] / d
+
+
+def _born_oracle(state, alice, bob):
+    """Born-rule tensor from two einsum contractions."""
+    d = alice.shape[1]
+    half = np.einsum("axj,jk->axk", alice.conj(), np.asarray(state).reshape(d, d))
+    amp = np.einsum("axk,byk->abxy", half, bob.conj(), optimize=True)
+    return np.abs(amp) ** 2
+
+
+@pytest.mark.parametrize(
+    "d,n", [(d, n) for d in range(2, 9) for n in (1, 2, 7, 40)] + [(8, 200)]
+)
+def test_closed_form_probs_equals_entrywise_oracle(d, n):
+    s = chained_settings(d, n)
+    assert np.array_equal(closed_form_probs(s), _closed_form_oracle(s))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closed_form_probs_on_repeated_and_integer_gaps(d):
+    # phases drawn from a small pool repeat, and integer gaps put
+    # theta = f + m on multiples of d
+    rng = substream(61, d)
+    pool = np.array([0.0, 0.25, 0.5, 1.0, 2.0, -1.0, d - 1.0, 0.1])
+    for n in (3, 6, 11):
+        s = ChainedSettings(
+            d=d, n=n, alpha=rng.choice(pool, size=n), beta=rng.choice(pool, size=n)
+        )
+        probs = closed_form_probs(s)
+        assert np.array_equal(probs, _closed_form_oracle(s))
+        born = joint_distribution(maximally_entangled(d), s).probs
+        assert np.abs(probs - born).max() < 1e-10
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3), (6, 2), (8, 3)])
+def test_joint_from_bases_matches_einsum_oracle(d, n):
+    rng = substream(67, d)
+    for _ in range(3):
+        state = sample_haar_pure(d * d, rng)
+        alice = np.stack([haar_unitary(d, rng) for _ in range(n)])
+        bob = np.stack([haar_unitary(d, rng) for _ in range(n)])
+        probs = joint_from_bases(state, alice, bob).probs
+        assert probs.flags.c_contiguous
+        assert np.abs(probs - _born_oracle(state, alice, bob)).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3, 4), (3, 3), (9,), (2, 2, 2, 2)], ids=["3d", "2d", "1d", "4d"]
+)
+def test_joint_from_bases_names_the_basis_shape(shape):
+    bases = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match=r"shape \(N, d, d\), got"):
+        joint_from_bases(maximally_entangled(2), bases, bases)
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [
+        ("alpha", [np.nan, 0.2], "alpha has a non-finite phase"),
+        ("beta", [0.5, np.inf], "beta has a non-finite phase"),
+        ("alpha", [0.1, 0.2, 0.3], r"alpha must have shape \(n,\) = \(2,\)"),
+        ("beta", [0.5], r"beta must have shape \(n,\) = \(2,\)"),
+        ("beta", [[0.5, 1.0]], r"beta must have shape \(n,\) = \(2,\)"),
+    ],
+    ids=["nan-alpha", "inf-beta", "long-alpha", "short-beta", "2d-beta"],
+)
+def test_closed_form_probs_rejects_bad_phases(field, value, match):
+    phases = {"alpha": np.array([0.25, 0.75]), "beta": np.array([0.5, 1.0])}
+    phases[field] = np.array(value)
+    with pytest.raises(ValueError, match=match):
+        closed_form_probs(ChainedSettings(d=3, n=2, **phases))
+
+
+def _signaling_box(d, n, eps):
+    """Uniform box whose Alice marginal at A=1 moves by eps with Bob's setting."""
+    probs = np.full((n, n, d, d), 1.0 / (d * d))
+    probs[0, 0, 0, :] += eps / d
+    probs[0, 0, 1, :] -= eps / d
+    return probs
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (5, 3)])
+def test_validate_no_signaling_residual_matches_report(d, n):
+    eps = 0.0123
+    probs = _signaling_box(d, n, eps)
+    report = check_no_signaling(probs)
+    assert report.alice_residual == pytest.approx(eps, rel=1e-12)
+    assert report.bob_residual == 0.0
+    with pytest.raises(ValueError, match="distribution signals") as err:
+        JointDistribution(d=d, n=n, probs=probs).validate(no_signaling=True)
+    assert f"residual {report.residual:.3g} >" in str(err.value)
+    # below the tolerance the same box passes, and without the flag it is not checked
+    JointDistribution(d=d, n=n, probs=probs).validate(tol=0.02, no_signaling=True)
+    JointDistribution(d=d, n=n, probs=probs).validate()
+    # a quantum box is no-signaling to rounding, by both entry points
+    dist = joint_distribution(maximally_entangled(d), chained_settings(d, n))
+    assert check_no_signaling(dist).residual <= 1e-14
+    dist.validate(tol=1e-14, no_signaling=True)
+
+
+@pytest.mark.parametrize(
+    "defect,match",
+    [
+        ("negative", "negative probability entry"),
+        ("unnormalized", "setting pair not normalized"),
+        ("nan", "non-finite entry"),
+        ("bob_signals", "distribution signals"),
+    ],
+)
+def test_validate_rejects_defective_tensors(defect, match):
+    d, n = 3, 3
+    probs = np.full((n, n, d, d), 1.0 / (d * d))
+    if defect == "negative":
+        probs[1, 2, 0, 0] -= 0.2
+        probs[1, 2, 0, 1] += 0.2
+    elif defect == "unnormalized":
+        probs[2, 0] *= 1.0 + 1e-9
+    elif defect == "nan":
+        probs[0, 1, 2, 2] = np.nan
+    else:
+        probs[2, 1, :, 0] += 0.05
+        probs[2, 1, :, 1] -= 0.05
+    with pytest.raises(ValueError, match=match):
+        JointDistribution(d=d, n=n, probs=probs).validate(no_signaling=True)
