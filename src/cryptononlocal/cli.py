@@ -329,11 +329,7 @@ def _load_fixture(path: str) -> JointDistribution:
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    try:
-        probs = np.asarray(data["probs"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"probs is not a rectangular array of numbers: {exc}") from exc
-    dist = JointDistribution(d=data["d"], n=data["n"], probs=probs)
+    dist = JointDistribution(d=data["d"], n=data["n"], probs=data["probs"])
     dist.validate(tol=1e-9, no_signaling=True)
     return dist
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ __all__ = [
 U_MODES = ("sphere-uniform", "haar-pure", "fixed")
 
 _MC_CHUNK = 1 << 16
+# Multiply-adds per sphere-uniform block projection, (rows, d^2-1) @ (d^2-1, d).
+# OpenBLAS runs a gemm of at most 2**18 of them in the calling thread (its
+# default GEMM_MULTITHREAD_THRESHOLD 4 x 65536); a threaded gemm leaves BLAS
+# workers spinning on the cores the chunk workers need.
+_MC_BLOCK = 1 << 18
 _SPAN_TOL = 1e-9
 
 
@@ -173,6 +179,15 @@ def _difference_matrix(basis: MeasurementBasisBloch) -> np.ndarray:
     return basis.vectors - np.roll(basis.vectors, 1, axis=0)
 
 
+def _mc_workers(n_chunks: int) -> int:
+    """Threads for ``n_chunks`` seeded chunks: the usable CPUs, at most one per chunk."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_chunks))
+
+
 def leggett_bound_mc(
     basis: MeasurementBasisBloch,
     model: LocalModel,
@@ -181,11 +196,27 @@ def leggett_bound_mc(
 ) -> BoundEstimate:
     """Monte Carlo estimate of the model bound L for one measurement basis.
 
-    ``rng`` may be a Generator (drawn sequentially) or an integer seed, in
-    which case sample chunk i reads the counter-based stream (seed, i) and
-    the result is independent of how chunks are scheduled.  Chunk partial
-    sums are combined with `math.fsum`, so the reduction order cannot move
-    the estimate.  A fixed-u model returns the exact value with zero error.
+    Samples come in chunks of 65536.  ``rng`` may be a Generator, shared by
+    all chunks and so drawn sequentially in one thread, or an integer seed,
+    in which case chunk i reads the counter-based stream (seed, i) and the
+    chunks run on a thread pool with one worker per CPU in the affinity
+    mask, at most one per chunk (a single chunk runs in the calling
+    thread).  The random draws release the interpreter lock, so the workers
+    run in parallel.  Chunk partial sums are kept in chunk order and
+    combined with `math.fsum`, so neither the thread count nor the
+    reduction order can move the estimate.  A fixed-u model returns the
+    exact value with zero error.
+
+    Sphere-uniform chunks are drawn in row blocks of
+    ``max(1, 2**18 // ((d^2 - 1) d))`` rows, one `sample_sphere` call each,
+    so that a block's projection onto the d difference vectors is a gemm
+    that OpenBLAS keeps in the calling thread.  A block holds at most
+    2 MiB / d of draws, or a single row of d^2 - 1 from d = 51 up, and a
+    worker holds one block and its chunk's 512 KiB of per-sample values at
+    a time.  Drawing a stream in blocks reads the same numbers
+    as drawing it at once, except that a redraw of a row whose norm falls
+    below 1e-12 (probability below 1e-30 per row) happens after that row's
+    block rather than after the whole chunk.
 
     Haar-pure states are never mapped to Bloch vectors.  By the projection
     rule ``Tr(rho(a) |psi><psi|) = [1 + (d-1) a.u] / d`` each step is an
@@ -195,7 +226,10 @@ def leggett_bound_mc(
         H_x = d/(d-1) (rho(a^x) - rho(a^{x-1})) ,
 
     so the d Hermitian ``H_x`` are built once per call and each chunk costs
-    d matrix products of shape (m, d) x (d, d).
+    d matrix products of shape (m, d) x (d, d).  Haar chunks are drawn
+    whole, with a peak of about 60 d bytes per sample (22 MiB per chunk at
+    d = 6): `sample_haar_pure` draws all real parts of a chunk before all
+    imaginary parts, so drawing in blocks would change the stream.
     """
     if model.d != basis.d:
         raise ValueError("model and basis dimensions differ")
@@ -207,23 +241,25 @@ def leggett_bound_mc(
         value = coef * float(np.abs(diffs @ model.fixed_u).sum())
         return BoundEstimate(value=value, std_error=0.0, samples=0)
 
+    # integer counts only: a float such as 70000.5 raises TypeError
+    n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if model.u_mode == "haar-pure":
         rho = np.stack([bloch_to_density(a, d) for a in basis.vectors])
         steps = d / (d - 1) * (rho - np.roll(rho, 1, axis=0))
     n_dim = d * d - 1
+    rows = max(1, _MC_BLOCK // (n_dim * d))
     seeded = isinstance(rng, (int, np.integer))
-    partial_sums: list[float] = []
-    partial_sqs: list[float] = []
-    done = 0
-    chunk_index = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        gen = substream(int(rng), chunk_index) if seeded else rng
+
+    def chunk_sums(i: int) -> tuple[float, float]:
+        m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
+        gen = substream(int(rng), i) if seeded else rng
         if model.u_mode == "sphere-uniform":
-            u = sample_sphere(n_dim, gen, size=m)
-            vals = coef * np.abs(u @ diffs.T).sum(axis=1)
+            vals = np.empty(m)
+            for lo in range(0, m, rows):
+                u = sample_sphere(n_dim, gen, size=min(rows, m - lo))
+                vals[lo : lo + len(u)] = coef * np.abs(u @ diffs.T).sum(axis=1)
         else:
             states = sample_haar_pure(d, gen, size=m)
             bra = states.conj()
@@ -231,13 +267,20 @@ def leggett_bound_mc(
             for x in range(d):
                 proj[:, x] = np.einsum("ij,ij->i", bra, states @ steps[x].T).real
             vals = coef * np.abs(proj).sum(axis=1)
-        partial_sums.append(float(vals.sum()))
-        partial_sqs.append(float(np.dot(vals, vals)))
-        done += m
-        chunk_index += 1
+        return float(vals.sum()), float(np.dot(vals, vals))
 
-    total = math.fsum(partial_sums)
-    total_sq = math.fsum(partial_sqs)
+    n_chunks = -(-n_samples // _MC_CHUNK)
+    workers = _mc_workers(n_chunks) if seeded else 1
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(chunk_sums, range(n_chunks)))
+    else:
+        sums = [chunk_sums(i) for i in range(n_chunks)]
+
+    total = math.fsum(s for s, _ in sums)
+    total_sq = math.fsum(sq for _, sq in sums)
     mean = total / n_samples
     if n_samples > 1:
         var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)

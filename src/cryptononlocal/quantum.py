@@ -118,11 +118,25 @@ def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``."""
+    """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``.
+
+    ``probs`` may be any array-like; it is converted once, on construction,
+    to a float array.  Input that is ragged or not numeric raises
+    `ValueError`.
+    """
 
     d: int
     n: int
     probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            probs = np.asarray(self.probs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"probs is not a rectangular array of numbers: {exc}"
+            ) from exc
+        object.__setattr__(self, "probs", probs)
 
     def validate(self, tol: float = PROB_TOL, no_signaling: bool = False) -> None:
         """Check shape, finiteness, sign (entries >= -tol) and normalization.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from cryptononlocal import leggett
 from cryptononlocal.bloch import (
     expected_abs_projection,
     sample_haar_pure,
+    sample_sphere,
     state_to_bloch,
     substream,
 )
 from cryptononlocal.leggett import (
+    _MC_BLOCK,
     _MC_CHUNK,
     CriticalNotFoundError,
     LocalModel,
@@ -172,6 +175,91 @@ def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, rng):
     assert est.samples == n_samples
     assert est.value == pytest.approx(value, rel=1e-12, abs=0)
     assert est.std_error == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
+def _sphere_mc_oracle(basis, eta, n_samples, rng):
+    # each chunk drawn whole, in one sample_sphere call
+    d = basis.d
+    diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
+    chunks = []
+    done = 0
+    while done < n_samples:
+        m = min(_MC_CHUNK, n_samples - done)
+        gen = substream(rng, len(chunks)) if isinstance(rng, int) else rng
+        u = sample_sphere(d * d - 1, gen, size=m)
+        chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
+        done += m
+    vals = np.concatenate(chunks)
+    stderr = vals.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
+    return vals.mean(), stderr
+
+
+@pytest.mark.parametrize("rng", [23, "generator"])
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_mc_bound_sphere_matches_one_shot_oracle(d, eta, rng):
+    # sample counts at the edges of a row block and of a chunk
+    block = max(1, _MC_BLOCK // ((d * d - 1) * d))
+    basis = _cglmp_basis(d)
+    model = LocalModel(d=d, eta=eta)
+    for n_samples in (1, block - 1, block + 1, _MC_CHUNK + 4000, 3 * _MC_CHUNK + 7):
+        if rng == "generator":
+            est = leggett_bound_mc(basis, model, n_samples, substream(29, d))
+            value, stderr = _sphere_mc_oracle(basis, eta, n_samples, substream(29, d))
+        else:
+            est = leggett_bound_mc(basis, model, n_samples, rng)
+            value, stderr = _sphere_mc_oracle(basis, eta, n_samples, rng)
+        assert est.samples == n_samples
+        assert est.value == pytest.approx(value, rel=1e-14, abs=0)
+        assert est.std_error == pytest.approx(stderr, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("u_mode", ["sphere-uniform", "haar-pure"])
+def test_mc_bound_same_for_any_worker_count(monkeypatch, u_mode):
+    basis = _cglmp_basis(3)
+    model = LocalModel(d=3, eta=0.9, u_mode=u_mode)
+    n_samples = 5 * _MC_CHUNK + 11
+    estimates = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(leggett, "_mc_workers", lambda n, w=workers: min(w, n))
+        estimates.append(leggett_bound_mc(basis, model, n_samples, 37))
+    assert estimates[0].std_error > 0
+    assert estimates[1:] == estimates[:1] * 2
+
+
+def test_mc_bound_single_chunk_or_generator_uses_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool created")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    basis, model = _cglmp_basis(3), LocalModel(d=3)
+    leggett_bound_mc(basis, model, _MC_CHUNK, 41)
+    leggett_bound_mc(basis, model, 3 * _MC_CHUNK, substream(41, 0))
+
+
+def test_mc_bound_memory_does_not_grow_with_the_chunk():
+    # one whole chunk of d^2 - 1 = 143 coordinates would take 75 MB
+    basis, model = _cglmp_basis(12), LocalModel(d=12)
+    tracemalloc.start()
+    try:
+        leggett_bound_mc(basis, model, _MC_CHUNK, 43)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n_samples", [70000.5, 100.0])
+def test_mc_bound_rejects_non_integer_samples(n_samples):
+    with pytest.raises(TypeError):
+        leggett_bound_mc(_cglmp_basis(3), LocalModel(d=3), n_samples, 47)
+
+
+def test_mc_bound_accepts_numpy_integer_samples():
+    est = leggett_bound_mc(_cglmp_basis(3), LocalModel(d=3), np.int64(1000), 47)
+    assert est.samples == 1000 and type(est.samples) is int
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -300,3 +300,21 @@ def test_validate_rejects_defective_tensors(defect, match):
         probs[2, 1, :, 1] -= 0.05
     with pytest.raises(ValueError, match=match):
         JointDistribution(d=d, n=n, probs=probs).validate(no_signaling=True)
+
+
+def test_joint_distribution_converts_nested_lists_once():
+    dist = JointDistribution(d=2, n=1, probs=[[[[0.25, 0.25], [0.25, 0.25]]]])
+    assert isinstance(dist.probs, np.ndarray) and dist.probs.dtype == float
+    dist.validate(no_signaling=True)
+    with pytest.raises(ValueError, match="does not match"):
+        JointDistribution(d=2, n=2, probs=[[[[0.25, 0.25], [0.25, 0.25]]]]).validate()
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[[[[0.5, 0.5], [0.0]]]], [[[["a", "b"], ["c", "d"]]]]],
+    ids=["ragged", "not-numeric"],
+)
+def test_joint_distribution_rejects_non_array_probs(probs):
+    with pytest.raises(ValueError, match="not a rectangular array of numbers"):
+        JointDistribution(d=2, n=1, probs=probs)
