@@ -180,7 +180,7 @@ def _difference_matrix(basis: MeasurementBasisBloch) -> np.ndarray:
 
 
 def _mc_workers(n_chunks: int) -> int:
-    """Threads for ``n_chunks`` seeded chunks: the usable CPUs, at most one per chunk."""
+    """Pool size for ``n_chunks`` seeded chunks: usable CPUs, at most one per chunk."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -213,10 +213,10 @@ def leggett_bound_mc(
     that OpenBLAS keeps in the calling thread.  A block holds at most
     2 MiB / d of draws, or a single row of d^2 - 1 from d = 51 up, and a
     worker holds one block and its chunk's 512 KiB of per-sample values at
-    a time.  Drawing a stream in blocks reads the same numbers
-    as drawing it at once, except that a redraw of a row whose norm falls
-    below 1e-12 (probability below 1e-30 per row) happens after that row's
-    block rather than after the whole chunk.
+    a time.  Drawing a stream in blocks reads the same numbers as drawing
+    it at once, except that a redraw of a row whose norm falls below 1e-12
+    (probability below 1e-30 per row) happens after that row's block
+    rather than after the whole chunk.
 
     Haar-pure states are never mapped to Bloch vectors.  By the projection
     rule ``Tr(rho(a) |psi><psi|) = [1 + (d-1) a.u] / d`` each step is an
