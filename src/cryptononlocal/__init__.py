@@ -13,7 +13,6 @@ from .bloch import (
     expected_abs_projection,
     generate_basis,
     haar_unitary,
-    is_pure_bloch,
     sample_haar_pure,
     sample_sphere,
     state_to_bloch,
@@ -47,7 +46,6 @@ from .nosignaling import (
     deterministic_contradiction,
     lhv_min_chained,
     random_no_signaling,
-    shift_distance,
     statistical_distance,
     strategy_chained_value,
     verify_shift_bound,
@@ -61,7 +59,6 @@ from .quantum import (
     chained_settings,
     chained_value,
     closed_form_probs,
-    expected_mod,
     gamma_factor,
     joint_distribution,
     joint_from_bases,

@@ -32,7 +32,6 @@ __all__ = [
     "generate_basis",
     "state_to_bloch",
     "bloch_to_density",
-    "is_pure_bloch",
     "expected_abs_projection",
     "substream",
     "sample_sphere",
@@ -120,19 +119,6 @@ def bloch_to_density(u: np.ndarray, d: int | None = None) -> np.ndarray:
     return np.eye(d, dtype=complex) / d + math.sqrt((d - 1) / (2.0 * d)) * np.einsum(
         "k,kij->ij", u, mats
     )
-
-
-def is_pure_bloch(u: np.ndarray, d: int | None = None, tol: float = 1e-10) -> bool:
-    """True when ``u`` is the coordinate vector of a physical pure state.
-
-    Checks that the reconstructed matrix is positive semidefinite with a
-    single unit eigenvalue (rank 1).
-    """
-    rho = bloch_to_density(u, d)
-    ev = np.linalg.eigvalsh(rho)
-    if ev[0] < -tol:
-        return False
-    return abs(ev[-1] - 1.0) <= tol and np.all(np.abs(ev[:-1]) <= tol)
 
 
 def expected_abs_projection(n: int) -> float:

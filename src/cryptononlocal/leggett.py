@@ -95,7 +95,7 @@ class MeasurementBasisBloch:
             raise ValueError("pairwise overlaps deviate from -1/(d-1)")
         if np.abs(np.diag(gram) - 1.0).max() > tol:
             raise ValueError("outcome vectors are not unit norm")
-        steps = np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1)
+        steps = np.linalg.norm(_difference_matrix(self), axis=1)
         if np.abs(steps - math.sqrt(2.0 * d / (d - 1))).max() > tol:
             raise ValueError("cyclic step lengths deviate from sqrt(2d/(d-1))")
 
@@ -267,7 +267,9 @@ def leggett_bound_mc(
             for x in range(d):
                 proj[:, x] = np.einsum("ij,ij->i", bra, states @ steps[x].T).real
             vals = coef * np.abs(proj).sum(axis=1)
-        return float(vals.sum()), float(np.dot(vals, vals))
+        # einsum's own loop, not BLAS: np.dot splits long vectors over
+        # OpenBLAS threads, so its last bits would depend on their count
+        return float(vals.sum()), float(np.einsum("i,i->", vals, vals))
 
     n_chunks = -(-n_samples // _MC_CHUNK)
     workers = _mc_workers(n_chunks) if seeded else 1
@@ -406,9 +408,9 @@ def _orthonormal_rows(vectors: np.ndarray, tol: float = _SPAN_TOL) -> np.ndarray
 
 
 def _family_difference_vectors(alice: np.ndarray) -> np.ndarray:
-    blochs = [basis_to_bloch(alice[a]).vectors for a in range(alice.shape[0])]
-    diffs = [b - np.roll(b, 1, axis=0) for b in blochs]
-    return np.concatenate(diffs, axis=0)
+    return np.concatenate(
+        [_difference_matrix(basis_to_bloch(basis)) for basis in alice], axis=0
+    )
 
 
 def multi_plane_families(

@@ -13,17 +13,18 @@ facts, both verifiable here on their own: the agreement bound
 ``P(X_A = Y_B) <= 1 - Delta(P_{X_A}, P_{Y_B})`` and the triangle
 inequality of Delta.  Everything is checked in the stronger per-setting
 form, which implies the averaged statement for any hidden-state
-distribution.
+distribution.  Input tensors go through `JointDistribution.validate`, the
+one validation path; 1-D outcome distributions through a check of their
+own (finite, non-negative, normalized).
 
-Also provided: the exact minimum of I_N over local deterministic
-strategies (the local-causality floor d-1) and the certificate that two
-distinct measurement directions can never both be perfectly predicted by
-one hidden unit vector.
+Also provided: the minimum of I_N over local strategies (the
+local-causality floor d-1, in closed form, with an all-zero witness) and
+the certificate that two distinct measurement directions can never both be
+perfectly predicted by one hidden unit vector.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from .quantum import JointDistribution, _as_probs, _signaling_residuals, chained
 
 __all__ = [
     "statistical_distance",
-    "shift_distance",
     "NoSignalingReport",
     "check_no_signaling",
     "random_no_signaling",
@@ -50,11 +50,13 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
-_BRUTE_FORCE_LIMIT = 10**8
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float).reshape(-1)
+    # NaN compares False, so the sign and sum checks would pass it
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if p.min() < -1e-12:
         raise ValueError(f"{name} has a negative entry")
     if abs(p.sum() - 1.0) > _NORM_TOL:
@@ -73,13 +75,6 @@ def statistical_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError("distributions have different outcome counts")
     return float(np.abs(p - q).sum() / p.shape[0])
-
-
-def shift_distance(p: np.ndarray) -> float:
-    """Distance of a distribution from its cyclic outcome shift,
-    ``sum_x |P(x) - P(x+1 mod d)| / d``."""
-    p = _check_distribution(p, "P")
-    return float(np.abs(p - np.roll(p, -1)).sum() / p.shape[0])
 
 
 @dataclass(frozen=True)
@@ -161,16 +156,17 @@ class ShiftBoundReport:
 def verify_shift_bound(dist, tol: float = 1e-9) -> ShiftBoundReport:
     """Check ``Delta(P_X|a, P_X+1|a) <= I_N`` for every Alice setting.
 
-    Rejects signaling input (the bound presumes no-signaling).  ``slack``
-    is I_N minus the largest per-setting shift distance and must stay above
+    The input is checked by `JointDistribution.validate` with
+    ``no_signaling=True`` at ``tol``: shape, finiteness, sign,
+    normalization and no-signaling (the bound presumes it).  ``slack`` is
+    I_N minus the largest per-setting shift distance and must stay above
     -tol.
     """
-    probs = _as_probs(dist)
-    ns = check_no_signaling(probs, tol)
-    if not ns.passed:
-        raise ValueError(
-            f"input distribution signals (residual {ns.residual:.3g} > {tol:.3g})"
-        )
+    if not isinstance(dist, JointDistribution):
+        probs = _as_probs(dist)
+        dist = JointDistribution(d=probs.shape[2], n=probs.shape[0], probs=probs)
+    dist.validate(tol, no_signaling=True)
+    probs = dist.probs
     i_n = chained_value(probs)
     marg = probs.sum(axis=3).mean(axis=1)  # (A, X), B-averaged
     shifts = np.abs(marg - np.roll(marg, -1, axis=1)).sum(axis=1) / probs.shape[2]
@@ -231,36 +227,25 @@ def strategy_chained_value(d: int, alice, bob) -> int:
 
 
 def lhv_min_chained(d: int, n: int) -> tuple[int, DeterministicStrategy]:
-    """Exact minimum of I_N over all deterministic strategies plus a witness.
+    """Minimum of I_N over all local strategies, d - 1, with a witness.
 
-    I_N is linear in the distribution, so the minimum over all local models
-    (deterministic or mixed) is attained at a deterministic vertex; the
-    enumeration is therefore the full local bound.  Guarded at d**(2n) <=
-    1e8 strategies.
+    I_N is linear in the distribution, so over local models (deterministic
+    or mixed) its minimum is attained at a deterministic strategy, outcomes
+    a_i for Alice and b_i for Bob.  Its 2n chain terms
+    ``[a_i - b_i]`` and ``[b_i - a_{i+1}]`` (``[.]`` is mod d, a_{n+1} =
+    a_1 + 1) are integers in 0..d-1 whose sum is congruent to the
+    telescoped ``a_1 - (a_1 + 1) = -1``, i.e. to d - 1, modulo d.  A
+    non-negative integer congruent to d - 1 is at least d - 1, and the
+    all-zero strategy attains it (every term is 0 except the wrap term,
+    d - 1).  This is the local-causality floor of Barrett, Kent and
+    Pironio, PRL 97, 170409 (2006).
     """
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    if d ** (2 * n) > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"d**(2n) = {d ** (2 * n)} strategies exceeds the {_BRUTE_FORCE_LIMIT} guard"
-        )
-    bob_space = np.stack(
-        np.meshgrid(*([np.arange(d)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    best = None
-    best_pair = None
-    for alice in itertools.product(range(d), repeat=n):
-        a = np.asarray(alice, dtype=int)
-        a_next = np.roll(a, -1)
-        a_next[-1] = a[0] + 1
-        totals = ((a[None, :] - bob_space) % d + (bob_space - a_next[None, :]) % d).sum(
-            axis=1
-        )
-        idx = int(np.argmin(totals))
-        if best is None or totals[idx] < best:
-            best = int(totals[idx])
-            best_pair = (alice, tuple(int(v) for v in bob_space[idx]))
-    return best, DeterministicStrategy(alice=best_pair[0], bob=best_pair[1])
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    zeros = (0,) * n
+    return d - 1, DeterministicStrategy(alice=zeros, bob=zeros)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ __all__ = [
     "joint_distribution",
     "joint_from_bases",
     "closed_form_probs",
-    "expected_mod",
     "chained_value",
     "cglmp_chained_value",
     "gamma_factor",
@@ -243,24 +242,6 @@ def closed_form_probs(settings: ChainedSettings) -> np.ndarray:
     blocks = _difference_probs(d, gaps)[:, m] / d  # (gap, X, Y)
     # numpy 2.0 returns the inverse in the input's shape, 1.x flat
     return blocks[where.reshape(n, n)]
-
-
-def expected_mod(dist, a: int, b: int, sign: int = 1, offset: int = 0) -> float:
-    """Mean of ``[sign*(X - Y) + offset] mod d`` at setting pair (a, b).
-
-    Accepts a JointDistribution or a bare (N, N, d, d) array; ``a`` and
-    ``b`` are 1-based setting indices.
-    """
-    probs = _as_probs(dist)
-    n, d = probs.shape[0], probs.shape[2]
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"setting indices ({a}, {b}) out of range 1..{n}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    x = np.arange(d)[:, None]
-    y = np.arange(d)[None, :]
-    weights = (sign * (x - y) + offset) % d
-    return float(np.sum(weights * probs[a - 1, b - 1]))
 
 
 def chained_value(dist) -> float:

@@ -8,7 +8,6 @@ from cryptononlocal.bloch import (
     expected_abs_projection,
     generate_basis,
     haar_unitary,
-    is_pure_bloch,
     sample_haar_pure,
     sample_sphere,
     state_to_bloch,
@@ -56,7 +55,6 @@ def test_state_roundtrip(d):
         assert abs(np.linalg.norm(u) - 1.0) < ATOL
         rho = bloch_to_density(u, d)
         assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-10
-        assert is_pure_bloch(u, d)
 
 
 def test_unnormalized_state_rejected():

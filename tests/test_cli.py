@@ -1,9 +1,10 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 
-from cryptononlocal.cli import main
+from cryptononlocal.cli import _min_plus_lhv_min, main
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,28 @@ def test_verify_lhv(capsys):
     assert "min=1" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("d,n", [(3, 9), (10, 5)])
+def test_verify_lhv_beyond_enumeration(capsys, d, n):
+    # d^(2n) = 3.9e8 and 1e10 strategies: out of reach of an enumeration
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lhv", "--d", str(d), "--n", str(n))
+    zeros = str([0] * n)
+    assert code == 0
+    assert out == (
+        f"lhv suite: d={d} n={n} min={d - 1} expected={d - 1} "
+        f"witness alice={zeros} bob={zeros} -> PASS\n"
+    )
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 5), (4, 4), (5, 3), (6, 3)])
+def test_min_plus_lhv_min_matches_enumeration(d, n):
+    # every (alice, bob) pair of outcome sequences at once
+    a = np.array(list(product(range(d), repeat=n)))[:, None, :]
+    b = a.transpose(1, 0, 2)
+    a_next = np.concatenate([a[..., 1:], a[..., :1] + 1], axis=-1)
+    brute = ((a - b) % d + (b - a_next) % d).sum(axis=-1).min()
+    assert _min_plus_lhv_min(d, n) == brute
+
+
 def test_verify_contradiction(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "contradiction", "--d", "3")
     assert code == 0
@@ -236,9 +259,10 @@ def test_unknown_command_exits_2(capsys):
         (("verify", "--suite", "theorem1", "--d", "1"), "d must"),
         (("verify", "--suite", "theorem1", "--n", "0"), "n must"),
         (("verify", "--suite", "theorem1", "--trials", "0"), "trials"),
-        (("verify", "--suite", "lhv", "--d", "10", "--n", "5"), "guard"),
+        (("verify", "--suite", "lhv", "--d", "1"), "d must"),
         (("sweep", "--fig", "2", "--d-range", "1..3"), "range"),
         (("sweep", "--fig", "2", "--eta-list", "0"), "eta"),
+        (("verify", "--suite", "lhv", "--n", "0"), "n must"),
     ],
 )
 def test_bad_arguments_exit_2_and_name_the_parameter(capsys, argv, needle):

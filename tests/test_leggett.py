@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,40 @@ def test_mc_bound_same_for_any_worker_count(monkeypatch, u_mode):
         estimates.append(leggett_bound_mc(basis, model, n_samples, 37))
     assert estimates[0].std_error > 0
     assert estimates[1:] == estimates[:1] * 2
+
+
+_BLAS_PROBE = """
+from cryptononlocal.leggett import LocalModel, basis_to_bloch, leggett_bound_mc
+from cryptononlocal.quantum import cglmp_bases, chained_settings
+for d in range(2, 6):
+    basis = basis_to_bloch(cglmp_bases(chained_settings(d, 1))[0][0])
+    for mode in ("sphere-uniform", "haar-pure"):
+        est = leggett_bound_mc(basis, LocalModel(d=d, u_mode=mode), 65536, 7)
+        print(est.value.hex(), est.std_error.hex())
+"""
+
+
+def test_mc_bound_same_for_any_blas_thread_count():
+    # a BLAS reduction splits a 65536-long chunk over its threads, and the
+    # split moves the last bits of the sum of squares
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count("\n") == 8
+    assert outputs[0] == outputs[1]
 
 
 def test_mc_bound_single_chunk_or_generator_uses_no_pool(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from cryptononlocal.nosignaling import (
     deterministic_contradiction,
     lhv_min_chained,
     random_no_signaling,
-    shift_distance,
     statistical_distance,
     strategy_chained_value,
     verify_shift_bound,
@@ -47,11 +48,28 @@ def test_statistical_distance_rejects_bad_input():
         statistical_distance([0.5, 0.5], [1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_statistical_distance_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="P has a non-finite entry"):
+        statistical_distance([bad, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="Q has a non-finite entry"):
+        statistical_distance([0.5, 0.5], [1.0, bad])
+
+
+def _product_shifts(pa, n=2):
+    # Alice's marginal pa at every setting, Bob uniform: no-signaling
+    pa = np.asarray(pa, dtype=float)
+    d = pa.shape[0]
+    block = np.outer(pa, np.full(d, 1.0 / d))
+    return verify_shift_bound(np.broadcast_to(block, (n, n, d, d)).copy()).shifts
+
+
 def test_shift_distance_examples():
-    assert shift_distance(np.full(5, 0.2)) == 0.0
+    # sum_x |P(x) - P(x+1 mod d)| / d, for every Alice setting
+    assert np.array_equal(_product_shifts(np.full(5, 0.2)), [0.0, 0.0])
     for p in (0.1, 0.5, 0.9):
-        assert shift_distance([p, 1 - p]) == pytest.approx(abs(2 * p - 1))
-    assert shift_distance([1.0, 0.0, 0.0]) == pytest.approx(2.0 / 3.0)
+        assert _product_shifts([p, 1 - p]) == pytest.approx([abs(2 * p - 1)] * 2)
+    assert _product_shifts([1.0, 0.0, 0.0], n=3) == pytest.approx([2.0 / 3.0] * 3)
 
 
 def test_check_no_signaling_on_quantum_distribution():
@@ -144,6 +162,30 @@ def test_shift_bound_rejects_signaling_input():
         verify_shift_bound(probs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shift_bound_rejects_non_finite_entry(bad):
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 1, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        verify_shift_bound(probs)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        verify_shift_bound(JointDistribution(d=2, n=2, probs=probs))
+
+
+def test_shift_bound_rejects_unnormalized_bare_array():
+    # uniform in every marginal, so it signals nowhere, but sums to 2
+    with pytest.raises(ValueError, match="not normalized"):
+        verify_shift_bound(np.full((2, 2, 2, 2), 0.5))
+
+
+def test_shift_bound_rejects_negative_entry():
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[:, :, 0, 0] += 0.5
+    probs[:, :, 1, 1] -= 0.5
+    with pytest.raises(ValueError, match="negative"):
+        verify_shift_bound(probs)
+
+
 def test_agreement_bound_identical_marginals():
     d, n = 2, 2
     probs = np.zeros((n, n, d, d))
@@ -177,16 +219,45 @@ def test_strategy_chained_value_wrap():
     assert strategy_chained_value(3, [0, 0], [0, 0]) == 2
 
 
-@pytest.mark.parametrize("d,n,expected", [(2, 2, 1), (3, 2, 2), (2, 3, 1)])
+def _enumerated_lhv_min(d, n):
+    """Smallest I_N over all d^(2n) deterministic strategies, and the first
+    strategy (in lexicographic order) that attains it."""
+    bob_space = np.array(list(itertools.product(range(d), repeat=n)))
+    best = None
+    for alice in itertools.product(range(d), repeat=n):
+        a = np.asarray(alice)
+        a_next = np.append(a[1:], a[0] + 1)
+        totals = ((a - bob_space) % d + (bob_space - a_next) % d).sum(axis=1)
+        idx = int(np.argmin(totals))
+        if best is None or totals[idx] < best[0]:
+            best = (int(totals[idx]), alice, tuple(int(v) for v in bob_space[idx]))
+    return best
+
+
+@pytest.mark.parametrize(
+    "d,n,expected",
+    [(d, n, d - 1) for d in range(2, 7) for n in range(1, 9) if d ** (2 * n) <= 10**5],
+)
 def test_lhv_minimum_with_witness(d, n, expected):
     value, witness = lhv_min_chained(d, n)
-    assert value == expected  # the local floor d-1, independent of n
+    oracle, alice, bob = _enumerated_lhv_min(d, n)
+    assert value == oracle == expected  # the local floor d-1, independent of n
+    # the enumeration meets the all-zero strategy first
+    assert (witness.alice, witness.bob) == (alice, bob) == ((0,) * n, (0,) * n)
     assert strategy_chained_value(d, witness.alice, witness.bob) == value
 
 
-def test_lhv_guard():
-    with pytest.raises(ValueError, match="guard"):
-        lhv_min_chained(10, 5)
+@pytest.mark.parametrize("d,n", [(2, 1000), (3, 9), (10, 5), (100, 10**4)])
+def test_lhv_minimum_beyond_enumeration(d, n):
+    value, witness = lhv_min_chained(d, n)
+    assert value == d - 1
+    assert strategy_chained_value(d, witness.alice, witness.bob) == value
+
+
+@pytest.mark.parametrize("d,n,needle", [(1, 3, "d must be >= 2"), (3, 0, "n must be >= 1")])
+def test_lhv_minimum_rejects_bad_size(d, n, needle):
+    with pytest.raises(ValueError, match=needle):
+        lhv_min_chained(d, n)
 
 
 def test_contradiction_equal_vectors_no_certificate():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cryptononlocal.bloch import haar_unitary, sample_haar_pure, substream
-from cryptononlocal.nosignaling import check_no_signaling
+from cryptononlocal.nosignaling import check_no_signaling, random_no_signaling
 from cryptononlocal.quantum import (
     ChainedSettings,
     JointDistribution,
@@ -15,7 +15,6 @@ from cryptononlocal.quantum import (
     chained_settings,
     chained_value,
     closed_form_probs,
-    expected_mod,
     gamma_factor,
     joint_distribution,
     joint_from_bases,
@@ -88,6 +87,28 @@ def _uniform_dist(d, n):
     return JointDistribution(d=d, n=n, probs=probs)
 
 
+def expected_mod(dist, a, b, sign=1, offset=0):
+    """Mean of ``[sign*(X - Y) + offset] mod d`` at 1-based setting pair (a, b).
+
+    Each chain term of I_N is one such mean, so this is the oracle for
+    `chained_value`.
+    """
+    probs = np.asarray(getattr(dist, "probs", dist))
+    d = probs.shape[2]
+    x = np.arange(d)[:, None]
+    y = np.arange(d)[None, :]
+    return float(np.sum((sign * (x - y) + offset) % d * probs[a - 1, b - 1]))
+
+
+def _chain_terms_value(dist):
+    """I_N as the sum of its 2N chain terms, X_{N+1} := X_1 + 1."""
+    n = dist.probs.shape[0]
+    terms = [expected_mod(dist, i, i) for i in range(1, n + 1)]
+    terms += [expected_mod(dist, i + 1, i, sign=-1) for i in range(1, n)]
+    terms.append(expected_mod(dist, 1, n, sign=-1, offset=-1))
+    return math.fsum(terms)
+
+
 def test_expected_mod():
     d, n = 4, 3
     phases = np.linspace(0.1, 0.9, n)
@@ -97,8 +118,21 @@ def test_expected_mod():
     assert expected_mod(_uniform_dist(2, 2), 1, 2) == pytest.approx(0.5)
     assert expected_mod(_uniform_dist(3, 2), 2, 1) == pytest.approx(1.0)
     assert expected_mod(corr.probs, 1, 2) == expected_mod(corr, 1, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        expected_mod(corr, 0, 1)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3), (4, 5), (6, 2)])
+def test_chained_value_matches_chain_term_oracle(d, n):
+    rng = substream(71, 10 * d + n)
+    for trial in range(5):
+        box = random_no_signaling(d, n, float(rng.uniform()), rng)
+        assert chained_value(box) == pytest.approx(_chain_terms_value(box), abs=1e-12)
+        state = sample_haar_pure(d * d, rng)
+        alice = np.stack([haar_unitary(d, rng) for _ in range(n)])
+        bob = np.stack([haar_unitary(d, rng) for _ in range(n)])
+        born = joint_from_bases(state, alice, bob)
+        assert chained_value(born) == pytest.approx(_chain_terms_value(born), abs=1e-12)
+    chained = joint_distribution(maximally_entangled(d), chained_settings(d, n))
+    assert chained_value(chained) == pytest.approx(_chain_terms_value(chained), abs=1e-12)
 
 
 def test_chained_value_deterministic_wrap():
