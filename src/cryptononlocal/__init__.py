@@ -1,6 +1,6 @@
 """Chained correlations and Leggett-type crypto-nonlocal bounds for qudits.
 
-Four layers: `bloch` (operator basis, state maps, samplers), `quantum`
+Four layers: `bloch` (closed-form Bloch coordinates, samplers), `quantum`
 (chained measurement bases, exact joint distributions and the chained
 quantity I_N), `leggett` (the crypto-nonlocal marginal model, its bounds
 and the critical settings count), and `nosignaling` (distance measures,
@@ -11,7 +11,6 @@ on the command line.
 from .bloch import (
     bloch_to_density,
     expected_abs_projection,
-    generate_basis,
     haar_unitary,
     sample_haar_pure,
     sample_sphere,

@@ -11,10 +11,18 @@ the overlap of two pure states is the projection rule
 
     Tr(rho(a) rho(u)) = [1 + (d-1) a.u] / d .
 
-Basis ordering is fixed and relied upon elsewhere: symmetric off-diagonal
-pairs first, then antisymmetric pairs, then diagonal matrices, each block
-in (j, k) row-major order.  For d=2 this is exactly (sigma_x, sigma_y,
-sigma_z), so the computational state |0> has coordinates (0, 0, 1).
+The basis is the generalized Gell-Mann set.  For each pair j < k the
+symmetric ``|j><k| + |k><j|`` and antisymmetric ``-i|j><k| + i|k><j|``,
+and for l = 1..d-1 the diagonal
+``sqrt(2/(l(l+1))) (sum_{a<l} |a><a| - l |l><l|)``.  Its ordering is fixed
+and relied upon elsewhere: symmetric pairs first, then antisymmetric
+pairs, then diagonals.  Both pair blocks run over the pairs in the order
+of ``np.tril_indices(d, -1)``, by the larger index k first, then j:
+(k, j) = (1, 0), (2, 0), (2, 1), (3, 0), ...  For d=2 this is exactly
+(sigma_x, sigma_y, sigma_z), so the computational state |0> has
+coordinates (0, 0, 1).  No basis matrix is ever built: `state_to_bloch`
+and `bloch_to_density` apply these entries as index formulas, O(d^2) per
+state.
 
 Randomness is counter-based: ``substream(seed, index)`` builds independent
 Philox generators, so concurrent consumers draw from disjoint streams
@@ -24,12 +32,10 @@ without sharing mutable state, and results depend only on (seed, index).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "generate_basis",
     "state_to_bloch",
     "bloch_to_density",
     "expected_abs_projection",
@@ -40,85 +46,69 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _basis_matrices(d: int) -> np.ndarray:
-    mats = []
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m * math.sqrt(2.0 / (l * (l + 1))))
-    out = np.stack(mats, axis=0)
-    out.setflags(write=False)
-    return out
-
-
-def generate_basis(d: int) -> np.ndarray:
-    """Return the generalized Gell-Mann basis for dimension ``d``.
-
-    A read-only array of shape (d**2 - 1, d, d) with
-    ``Tr(basis[i] @ basis[j]) == 2 * delta_ij``.  Ordering: symmetric
-    pairs, antisymmetric pairs, diagonal matrices.  Raises ValueError for
-    d < 2.
-    """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return _basis_matrices(int(d))
-
-
-def _bloch_scale(d: int) -> float:
-    # coordinate = scale * Tr(rho L_i) inverts rho = I/d + sqrt((d-1)/(2d)) sum u_i L_i
-    return math.sqrt(d / (2.0 * (d - 1)))
-
-
 def state_to_bloch(psi: np.ndarray) -> np.ndarray:
-    """Map a normalized pure state to its unit Bloch coordinate vector.
+    """Map normalized pure states to their unit Bloch coordinate vectors.
+
+    Each coordinate is ``sqrt(d/(2(d-1))) <psi| L_i |psi>``, written out
+    per block (Bertlmann & Krammer, J. Phys. A 41, 235303 (2008)): with
+    ``z = conj(psi_j) psi_k`` over the pairs k > j, the symmetric block is
+    ``2 Re z``, the antisymmetric block ``2 Im z``, and diagonal l is
+    ``sqrt(2/(l(l+1))) (sum_{a<l} |psi_a|^2 - l |psi_l|^2)``.
 
     Parameters
     ----------
-    psi : complex array, shape (d,)
-        State amplitudes with unit Euclidean norm (checked to 1e-12).
+    psi : complex array, shape (..., d)
+        State amplitudes along the last axis, each state of unit Euclidean
+        norm (checked to 1e-12).
 
     Returns
     -------
-    real array, shape (d**2 - 1,)
+    real array, shape (..., d**2 - 1)
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    d = psi.shape[0]
-    if d < 2:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim == 0 or psi.shape[-1] < 2:
         raise ValueError("state must live in dimension >= 2")
-    nrm2 = float(np.sum(np.abs(psi) ** 2))
-    if abs(nrm2 - 1.0) > 1e-12:
-        raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
-    mats = generate_basis(d)
-    # Tr(|psi><psi| L) = <psi| L |psi>
-    tr = np.einsum("i,kij,j->k", psi.conj(), mats, psi)
-    return np.real(tr) * _bloch_scale(d)
+    d = psi.shape[-1]
+    p = np.abs(psi) ** 2
+    nrm2 = p.sum(axis=-1)
+    bad = ~(np.abs(nrm2 - 1.0) <= 1e-12)  # a NaN norm fails too
+    if bad.any():
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(nrm2[bad][0])!r}")
+    k, j = np.tril_indices(d, -1)
+    z = psi[..., j].conj() * psi[..., k]
+    l = np.arange(1, d)
+    diag = (np.cumsum(p, axis=-1)[..., :-1] - l * p[..., 1:]) * np.sqrt(2.0 / (l * (l + 1)))
+    coords = np.concatenate([2.0 * z.real, 2.0 * z.imag, diag], axis=-1)
+    return coords * math.sqrt(d / (2.0 * (d - 1)))
 
 
 def bloch_to_density(u: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Reconstruct the density matrix of a Bloch coordinate vector."""
-    u = np.asarray(u, dtype=float).reshape(-1)
+    """Reconstruct density matrices ``I/d + sqrt((d-1)/(2d)) sum_i u_i L_i``.
+
+    ``u`` has shape (..., d**2 - 1), the result (..., d, d); ``d`` is
+    inferred from the coordinate length when omitted.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    n = u.shape[-1]
     if d is None:
-        d = int(round(math.sqrt(u.shape[0] + 1)))
-    if d * d - 1 != u.shape[0]:
-        raise ValueError(f"coordinate length {u.shape[0]} does not match d={d}")
-    mats = generate_basis(d)
-    return np.eye(d, dtype=complex) / d + math.sqrt((d - 1) / (2.0 * d)) * np.einsum(
-        "k,kij->ij", u, mats
-    )
+        d = int(round(math.sqrt(n + 1)))
+    if d * d - 1 != n:
+        raise ValueError(f"coordinate length {n} does not match d={d}")
+    k, j = np.tril_indices(d, -1)
+    m = len(k)
+    sym, anti = u[..., :m], u[..., m : 2 * m]
+    l = np.arange(1, d)
+    w = u[..., 2 * m :] * np.sqrt(2.0 / (l * (l + 1)))
+    # diagonal a: the sum of w_l over l > a, minus a w_a
+    diag = np.zeros(u.shape[:-1] + (d,))
+    diag[..., :-1] = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    diag[..., 1:] -= l * w
+    scale = math.sqrt((d - 1) / (2.0 * d))
+    out = np.zeros(u.shape[:-1] + (d, d), dtype=complex)
+    out[..., j, k] = scale * (sym - 1j * anti)
+    out[..., k, j] = scale * (sym + 1j * anti)
+    out[..., np.arange(d), np.arange(d)] = scale * diag + 1.0 / d
+    return out
 
 
 def expected_abs_projection(n: int) -> float:
@@ -139,6 +129,19 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _unit_rows(draw, m: int) -> np.ndarray:
+    """``draw(m)`` with unit rows.  While k rows are below 1e-12 in norm,
+    they are replaced by the rows of ``draw(k)``."""
+    x = draw(m)
+    norms = np.linalg.norm(x, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        x[bad] = draw(int(bad.sum()))
+        norms = np.linalg.norm(x, axis=1)
+    x /= norms[:, None]
+    return x
+
+
 def sample_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform samples on the unit sphere S^{n-1}.
 
@@ -149,13 +152,7 @@ def sample_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> 
     if n < 1:
         raise ValueError("n must be >= 1")
     m = 1 if size is None else int(size)
-    x = rng.standard_normal((m, n))
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        x[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(x, axis=1)
-    x /= norms[:, None]
+    x = _unit_rows(lambda k: rng.standard_normal((k, n)), m)
     return x[0] if size is None else x
 
 
@@ -167,15 +164,9 @@ def sample_haar_pure(d: int, rng: np.random.Generator, size: int | None = None) 
     if d < 2:
         raise ValueError("d must be >= 2")
     m = 1 if size is None else int(size)
-    z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    norms = np.linalg.norm(z, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        z[bad] = rng.standard_normal((int(bad.sum()), d)) + 1j * rng.standard_normal(
-            (int(bad.sum()), d)
-        )
-        norms = np.linalg.norm(z, axis=1)
-    z /= norms[:, None]
+    z = _unit_rows(
+        lambda k: rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)), m
+    )
     return z[0] if size is None else z
 
 

@@ -451,9 +451,10 @@ def _grid_max_min_overlap(a: np.ndarray, b: np.ndarray, points: int = 200_001) -
         e2 -= (e2 @ e1) * e1
         n2 = np.linalg.norm(e2)
     e2 = e2 / n2
+    # u = cos(phi) e1 + sin(phi) e2, so u.v needs only the plane coordinates of v
     phi = np.linspace(0.0, 2.0 * np.pi, points)
-    u = np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2)
-    return float(np.minimum(u @ a, u @ b).max())
+    c, s = np.cos(phi), np.sin(phi)
+    return float(np.minimum(c * (e1 @ a) + s * (e2 @ a), c * (e1 @ b) + s * (e2 @ b)).max())
 
 
 def _verify_contradiction(args) -> int:
@@ -512,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
         # the library's precondition checks; CriticalNotFoundError is a
         # ValueError too, but the handlers that expect it map it to exit 3
         return _fail(str(exc), EXIT_BAD_INPUT)
+    except MemoryError as exc:
+        # a request too large to hold is bad input, not a failed verification
+        return _fail(f"out of memory: {exc}", EXIT_BAD_INPUT)
 
 
 def entry() -> None:

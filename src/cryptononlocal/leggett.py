@@ -109,9 +109,7 @@ def basis_to_bloch(basis: np.ndarray) -> MeasurementBasisBloch:
     gram = basis @ basis.conj().T
     if np.abs(gram - np.eye(d)).max() > 1e-10:
         raise ValueError("input vectors are not an orthonormal basis")
-    out = MeasurementBasisBloch(
-        d=d, vectors=np.stack([state_to_bloch(v) for v in basis])
-    )
+    out = MeasurementBasisBloch(d=d, vectors=state_to_bloch(basis))
     out.validate()
     return out
 
@@ -246,7 +244,7 @@ def leggett_bound_mc(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if model.u_mode == "haar-pure":
-        rho = np.stack([bloch_to_density(a, d) for a in basis.vectors])
+        rho = bloch_to_density(basis.vectors, d)
         steps = d / (d - 1) * (rho - np.roll(rho, 1, axis=0))
     n_dim = d * d - 1
     rows = max(1, _MC_BLOCK // (n_dim * d))

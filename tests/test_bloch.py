@@ -6,7 +6,6 @@ import pytest
 from cryptononlocal.bloch import (
     bloch_to_density,
     expected_abs_projection,
-    generate_basis,
     haar_unitary,
     sample_haar_pure,
     sample_sphere,
@@ -17,9 +16,32 @@ from cryptononlocal.bloch import (
 ATOL = 1e-12
 
 
+def _gell_mann_stack(d):
+    # dense oracle: every basis matrix built entry by entry, in the library's order
+    mats = []
+    for k in range(1, d):
+        for j in range(k):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = 1.0
+            m[k, j] = 1.0
+            mats.append(m)
+    for k in range(1, d):
+        for j in range(k):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        mats.append(m * math.sqrt(2.0 / (l * (l + 1))))
+    return np.stack(mats, axis=0)
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_basis_invariants(d):
-    mats = generate_basis(d)
+    mats = _gell_mann_stack(d)
     assert mats.shape == (d * d - 1, d, d)
     assert np.abs(mats - mats.conj().transpose(0, 2, 1)).max() < ATOL
     assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() < ATOL
@@ -28,7 +50,7 @@ def test_basis_invariants(d):
 
 
 def test_basis_d2_is_pauli():
-    mats = generate_basis(2)
+    mats = _gell_mann_stack(2)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -36,9 +58,41 @@ def test_basis_d2_is_pauli():
 
 
 def test_basis_counts():
-    assert len(generate_basis(5)) == 24
-    with pytest.raises(ValueError):
-        generate_basis(1)
+    assert len(_gell_mann_stack(5)) == 24
+    with pytest.raises(ValueError, match="dimension"):
+        state_to_bloch(np.ones(1))
+    with pytest.raises(ValueError, match="does not match"):
+        bloch_to_density(np.zeros(24), 4)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_maps_match_dense_oracle(d):
+    mats = _gell_mann_stack(d)
+    scale = math.sqrt(d / (2.0 * (d - 1)))
+    psi = sample_haar_pure(d, substream(41, d), size=12).reshape(3, 4, d)
+    u = state_to_bloch(psi)
+    assert u.shape == (3, 4, d * d - 1)
+    oracle = np.einsum("...i,kij,...j->...k", psi.conj(), mats, psi).real * scale
+    assert np.abs(u - oracle).max() < 1e-14
+    rho = bloch_to_density(u, d)
+    assert rho.shape == (3, 4, d, d)
+    rho_oracle = np.eye(d) / d + math.sqrt((d - 1) / (2.0 * d)) * np.einsum(
+        "...k,kij->...ij", u, mats
+    )
+    assert np.abs(rho - rho_oracle).max() < 1e-14
+    # a batched call is the row-by-row calls, bit for bit
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(u[idx], state_to_bloch(psi[idx]))
+        assert np.array_equal(rho[idx], bloch_to_density(u[idx]))
+
+
+def test_pair_order_is_larger_index_first():
+    # (|0> + |3>)/sqrt(2) at d=4: pair (k, j) = (3, 0) is the fourth pair
+    # (index 3); a (j, k) row-major order would put it at index 2
+    psi = np.zeros(4, dtype=complex)
+    psi[[0, 3]] = 1.0 / math.sqrt(2.0)
+    u = state_to_bloch(psi)
+    assert np.flatnonzero(np.abs(u) > ATOL).tolist() == [3, 12, 13, 14]
 
 
 def test_north_pole():
@@ -60,6 +114,11 @@ def test_state_roundtrip(d):
 def test_unnormalized_state_rejected():
     with pytest.raises(ValueError, match="normalized"):
         state_to_bloch(np.array([1.0, 1.0]))
+    # one bad row in a batch, and a NaN amplitude, are refused too
+    with pytest.raises(ValueError, match=r"\|psi\|\^2 = 0\.5"):
+        state_to_bloch(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="normalized"):
+        state_to_bloch(np.array([np.nan, 0.0]))
 
 
 def test_orthogonal_state_overlaps():
@@ -105,6 +164,35 @@ def test_sphere_norms_and_determinism():
     assert np.array_equal(pts, again)
     other = sample_sphere(8, substream(7, 1), size=1000)
     assert not np.allclose(pts, other)
+
+
+class _ZeroFirstRows:
+    """Generator stub: row 0 of every draw of ``rows`` rows is all zeros."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.gen = substream(47, 0)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        out = self.gen.standard_normal(shape)
+        if shape[0] == self.rows:
+            out[0] = 0.0
+        return out
+
+
+def test_samplers_redraw_a_zero_row():
+    stub = _ZeroFirstRows(5)
+    pts = sample_sphere(4, stub, size=5)
+    assert stub.shapes == [(5, 4), (1, 4)]
+    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < ATOL
+    stub = _ZeroFirstRows(5)
+    states = sample_haar_pure(3, stub, size=5)
+    # real and imaginary parts of the first draw, then of the one-row redraw
+    assert stub.shapes == [(5, 3), (5, 3), (1, 3), (1, 3)]
+    assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < ATOL
+    assert np.all(np.abs(states[0]) > 0)
 
 
 def test_sphere_coordinate_symmetry():

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cryptononlocal.cli import _min_plus_lhv_min, main
+from cryptononlocal.cli import _grid_max_min_overlap, _min_plus_lhv_min, main
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +193,33 @@ def test_verify_contradiction(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "contradiction", "--d", "3")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_max_min_overlap_matches_dense_grid(seed):
+    # oracle: every grid point built as a full vector u
+    gen = np.random.default_rng(seed)
+    a, b = gen.standard_normal((2, 15))
+    a /= np.linalg.norm(a)
+    b /= np.linalg.norm(b)
+    e1 = a
+    e2 = b - (b @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2001)
+    u = np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2)
+    dense = np.minimum(u @ a, u @ b).max()
+    assert _grid_max_min_overlap(a, b, points=2001) == pytest.approx(dense, abs=1e-14)
+
+
+def test_out_of_memory_exits_2(capsys):
+    # the first allocation, an (n, n, d, d) tensor of 639 PiB, exceeds any
+    # 48-bit address space, so it fails before any memory is touched
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "theorem1", "--d", "3", "--n", "100000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory: Unable to allocate 639. PiB")
 
 
 def test_verify_rejects_signaling_fixture(capsys, tmp_path):

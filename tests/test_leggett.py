@@ -62,6 +62,16 @@ def test_basis_to_bloch_invariants(d):
     assert np.abs(steps - math.sqrt(2 * d / (d - 1))).max() < 1e-10
 
 
+def test_basis_to_bloch_fourier_basis_at_d100():
+    # d = 100, the top of the range the library accepts, maps and validates
+    d = 100
+    x = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(x, x) / d) / math.sqrt(d)
+    mb = basis_to_bloch(fourier)
+    assert mb.vectors.shape == (d, d * d - 1)
+    mb.validate()
+
+
 def test_basis_to_bloch_rejects_non_orthonormal():
     bad = np.array([[1, 0], [1, 0]], dtype=complex)
     with pytest.raises(ValueError, match="orthonormal"):
