@@ -57,7 +57,8 @@ EXIT_BAD_INPUT = 2
 EXIT_NOT_FOUND = 3
 EXIT_IO = 4
 
-# Largest row count `sweep` builds; the rows are held in memory before writing.
+# Largest row count `sweep` builds, and largest `verify --suite lhv --n`, whose
+# witness holds 2 n outcomes: both are held in memory before writing.
 MAX_SWEEP_ROWS = 10**6
 
 
@@ -321,6 +322,9 @@ def _load_fixture(path: str) -> JointDistribution:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not JSON: {exc}") from exc
+        except RecursionError as exc:
+            # json's decoder recurses once per nesting level
+            raise ValueError(f"JSON nested too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("top level must be a JSON object {d, n, probs}")
     for key in ("d", "n", "probs"):
@@ -398,6 +402,10 @@ def _verify_lemma(args) -> int:
 
 
 def _verify_lhv(args) -> int:
+    if args.n > MAX_SWEEP_ROWS:
+        return _fail(
+            f"--n {args.n} exceeds the cap of {MAX_SWEEP_ROWS} settings", EXIT_BAD_INPUT
+        )
     value, witness = lhv_min_chained(args.d, args.n)
     minimum = _min_plus_lhv_min(args.d, args.n)
     expected = args.d - 1

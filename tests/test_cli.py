@@ -4,7 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cryptononlocal.cli import _grid_max_min_overlap, _min_plus_lhv_min, main
+from cryptononlocal import cli
+from cryptononlocal.cli import (
+    MAX_SWEEP_ROWS,
+    _grid_max_min_overlap,
+    _min_plus_lhv_min,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +183,18 @@ def test_verify_lhv_beyond_enumeration(capsys, d, n):
         f"lhv suite: d={d} n={n} min={d - 1} expected={d - 1} "
         f"witness alice={zeros} bob={zeros} -> PASS\n"
     )
+
+
+def test_verify_lhv_caps_n_before_building_the_witness(capsys, monkeypatch):
+    def no_witness(d, n):
+        raise AssertionError("witness built")
+
+    monkeypatch.setattr(cli, "lhv_min_chained", no_witness)
+    n = MAX_SWEEP_ROWS + 1
+    code, out, err = run_cli(capsys, "verify", "--suite", "lhv", "--d", "2", "--n", str(n))
+    assert code == 2
+    assert f"--n {n} exceeds the cap of {MAX_SWEEP_ROWS} settings" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 5), (4, 4), (5, 3), (6, 3)])
@@ -375,6 +393,8 @@ def _fx(probs=UNIFORM, **fields):
         pytest.param(_fx([], n=0), "n must be an integer >= 1", id="n-zero"),
         pytest.param({"d": 2, "probs": UNIFORM}, "missing key 'n'", id="missing-key"),
         pytest.param("{d: 2, n: 2}", "not JSON", id="not-json"),
+        pytest.param(_fx(2**1100), "numbers: int too large", id="huge-int"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep"),
     ],
 )
 def test_verify_input_rejects_bad_fixture(capsys, tmp_path, payload, needle):

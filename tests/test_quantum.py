@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,51 @@ def test_joint_from_bases_matches_einsum_oracle(d, n):
         assert np.abs(probs - _born_oracle(state, alice, bob)).max() <= 1e-15
 
 
+def _born_one_shot(state, alice, bob):
+    """Born-rule tensor with every amplitude from one (N d, d) @ (d, N d) product."""
+    n, d = alice.shape[0], alice.shape[1]
+    half = alice.conj().reshape(n * d, d) @ np.asarray(state).reshape(d, d)
+    amp = half @ bob.conj().reshape(n * d, d).T
+    probs = np.empty((n, n, d, d))
+    np.abs(amp.reshape(n, d, n, d).transpose(0, 2, 1, 3), out=probs)
+    probs *= probs
+    return probs
+
+
+# (8, 200) and (7, 228) span many blocks with a ragged last one; at (100, 12)
+# one setting alone holds more amplitudes than a block
+@pytest.mark.parametrize("d,n", [(8, 200), (7, 228), (100, 12)])
+def test_blocked_born_tensor_equals_one_shot_product(d, n):
+    alice, bob = cglmp_bases(chained_settings(d, n))
+    state = maximally_entangled(d)
+    probs = joint_from_bases(state, alice, bob).probs
+    assert probs.flags.c_contiguous
+    assert np.array_equal(probs, _born_one_shot(state, alice, bob))
+
+
+def test_blocked_born_tensor_equals_one_shot_product_haar():
+    # 40 settings at d=8 make two blocks, the second ragged
+    d, n = 8, 40
+    rng = substream(71, d)
+    state = sample_haar_pure(d * d, rng)
+    alice = np.stack([haar_unitary(d, rng) for _ in range(n)])
+    bob = np.stack([haar_unitary(d, rng) for _ in range(n)])
+    probs = joint_from_bases(state, alice, bob).probs
+    assert np.array_equal(probs, _born_one_shot(state, alice, bob))
+
+
+def test_born_tensor_peak_memory_is_near_the_tensor():
+    # the one-shot (N d, N d) complex amplitude array alone is 2x the tensor
+    state, settings = maximally_entangled(8), chained_settings(8, 200)
+    tracemalloc.start()
+    try:
+        probs = joint_distribution(state, settings).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * probs.nbytes
+
+
 @pytest.mark.parametrize(
     "shape", [(2, 3, 4), (3, 3), (9,), (2, 2, 2, 2)], ids=["3d", "2d", "1d", "4d"]
 )
@@ -346,8 +392,8 @@ def test_joint_distribution_converts_nested_lists_once():
 
 @pytest.mark.parametrize(
     "probs",
-    [[[[[0.5, 0.5], [0.0]]]], [[[["a", "b"], ["c", "d"]]]]],
-    ids=["ragged", "not-numeric"],
+    [[[[[0.5, 0.5], [0.0]]]], [[[["a", "b"], ["c", "d"]]]], [[[[2**1100, 0], [0, 0]]]]],
+    ids=["ragged", "not-numeric", "huge-int"],
 )
 def test_joint_distribution_rejects_non_array_probs(probs):
     with pytest.raises(ValueError, match="not a rectangular array of numbers"):
