@@ -25,6 +25,7 @@ from .bloch import substream
 from .leggett import (
     CriticalNotFoundError,
     LocalModel,
+    _critical_search,
     basis_to_bloch,
     find_critical_n,
     leggett_bound_analytic,
@@ -225,8 +226,7 @@ def _sweep_rows(fig: int, d_range, etas, n_range) -> list[dict]:
                         )
                     )
             else:
-                n_crit = find_critical_n(d, eta, n_hi)
-                i_n = cglmp_chained_value(d, n_crit)
+                n_crit, i_n = _critical_search(d, eta, n_hi)
                 rows.append(
                     dict(
                         d=d,

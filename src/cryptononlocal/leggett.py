@@ -66,10 +66,10 @@ __all__ = [
 U_MODES = ("sphere-uniform", "haar-pure", "fixed")
 
 _MC_CHUNK = 1 << 16
-# Multiply-adds per sphere-uniform block projection, (rows, d^2-1) @ (d^2-1, d).
-# OpenBLAS runs a gemm of at most 2**18 of them in the calling thread (its
-# default GEMM_MULTITHREAD_THRESHOLD 4 x 65536); a threaded gemm leaves BLAS
-# workers spinning on the cores the chunk workers need.
+# Multiply-adds per block product.  OpenBLAS runs a gemm of at most 2**18 of
+# them in the calling thread (its default GEMM_MULTITHREAD_THRESHOLD
+# 4 x 65536); a threaded gemm leaves BLAS workers spinning on the cores the
+# chunk workers need.
 _MC_BLOCK = 1 << 18
 _SPAN_TOL = 1e-9
 
@@ -177,6 +177,15 @@ def _difference_matrix(basis: MeasurementBasisBloch) -> np.ndarray:
     return basis.vectors - np.roll(basis.vectors, 1, axis=0)
 
 
+def _mc_block_rows(macs_per_row: int) -> int:
+    """Rows per Monte Carlo block: ``_MC_BLOCK`` multiply-adds, at least 64 rows.
+
+    With fewer rows a block's product would stream its whole right-hand
+    operand for a handful of samples.
+    """
+    return max(64, _MC_BLOCK // macs_per_row)
+
+
 def _mc_workers(n_chunks: int) -> int:
     """Pool size for ``n_chunks`` seeded chunks: usable CPUs, at most one per chunk."""
     try:
@@ -200,21 +209,32 @@ def leggett_bound_mc(
     chunks run on a thread pool with one worker per CPU in the affinity
     mask, at most one per chunk (a single chunk runs in the calling
     thread).  The random draws release the interpreter lock, so the workers
-    run in parallel.  Chunk partial sums are kept in chunk order and
+    run in parallel.  Each chunk returns its sum and its sum of squared
+    deviations from its own mean; these are kept in chunk order and
     combined with `math.fsum`, so neither the thread count nor the
-    reduction order can move the estimate.  A fixed-u model returns the
-    exact value with zero error.
+    reduction order can move the estimate, and the standard error does not
+    rest on a difference of two large sums of squares.  A fixed-u model
+    returns the exact value with zero error.
 
-    Sphere-uniform chunks are drawn in row blocks of
-    ``max(1, 2**18 // ((d^2 - 1) d))`` rows, one `sample_sphere` call each,
-    so that a block's projection onto the d difference vectors is a gemm
-    that OpenBLAS keeps in the calling thread.  A block holds at most
-    2 MiB / d of draws, or a single row of d^2 - 1 from d = 51 up, and a
-    worker holds one block and its chunk's 512 KiB of per-sample values at
-    a time.  Drawing a stream in blocks reads the same numbers as drawing
-    it at once, except that a redraw of a row whose norm falls below 1e-12
-    (probability below 1e-30 per row) happens after that row's block
-    rather than after the whole chunk.
+    Both modes work a chunk in blocks of ``max(64, 2**18 // c)`` rows,
+    where c is the multiply-add count of one row's projection:
+    (d^2 - 1) d for sphere-uniform and d^3 for Haar-pure.  Up to d = 16 a
+    block's product has at most 2**18 multiply-adds, which OpenBLAS runs in
+    the calling thread; from d = 17 up the 64-row floor binds, so that one
+    pass over the block's right-hand operand serves 64 samples rather than
+    a handful.
+
+    Sphere-uniform blocks are drawn one `sample_sphere` call each.  Where
+    the floor binds, a block's projection onto the d difference vectors is
+    summed left to right over slices of ``2**18 // (64 d)`` coordinates,
+    one product each, so every product still runs in the calling thread
+    and the last bits do not depend on the BLAS thread count.  A block
+    holds ``max(2 MiB / d, 512 (d^2 - 1) bytes)`` of draws (5 MB at
+    d = 100), and a worker holds one block and its chunk's 512 KiB of
+    per-sample values at a time.  Drawing a stream in blocks reads the same
+    numbers as drawing it at once, except that a redraw of a row whose norm
+    falls below 1e-12 (probability below 1e-30 per row) happens after that
+    row's block rather than after the whole chunk.
 
     Haar-pure states are never mapped to Bloch vectors.  By the projection
     rule ``Tr(rho(a) |psi><psi|) = [1 + (d-1) a.u] / d`` each step is an
@@ -223,11 +243,18 @@ def leggett_bound_mc(
         (a^x - a^{x-1}) . u = <psi| H_x |psi> ,
         H_x = d/(d-1) (rho(a^x) - rho(a^{x-1})) ,
 
-    so the d Hermitian ``H_x`` are built once per call and each chunk costs
-    d matrix products of shape (m, d) x (d, d).  Haar chunks are drawn
-    whole, with a peak of about 60 d bytes per sample (22 MiB per chunk at
-    d = 6): `sample_haar_pure` draws all real parts of a chunk before all
-    imaginary parts, so drawing in blocks would change the stream.
+    so the d Hermitian ``H_x`` are built once per call, stacked side by
+    side as one (d, d^2) operator.  A block of states costs one
+    (rows, d) x (d, d^2) complex product, which gives every ``H_x psi``,
+    and one contraction with the conjugate states.  Where the floor binds,
+    OpenBLAS may split that product over its threads; its inner dimension
+    is only d, so each entry is still one unbroken sum, and the estimate at
+    d = 20 reads the same bits under one and two BLAS threads (tested).
+    Haar chunks are drawn whole, because `sample_haar_pure` draws all real
+    parts of a chunk before all imaginary parts and drawing in blocks would
+    change the stream.  A chunk peaks at about 35 d bytes per sample
+    (tracemalloc: 13.7 MiB at d = 6, 41 MiB at d = 20); a block's products
+    add at most ``max(4 MiB / d, 1 KiB d^2)``.
     """
     if model.d != basis.d:
         raise ValueError("model and basis dimensions differ")
@@ -243,31 +270,47 @@ def leggett_bound_mc(
     n_samples = operator.index(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if model.u_mode == "haar-pure":
+    n_dim = d * d - 1
+    haar = model.u_mode == "haar-pure"
+    if haar:
         rho = bloch_to_density(basis.vectors, d)
         steps = d / (d - 1) * (rho - np.roll(rho, 1, axis=0))
-    n_dim = d * d - 1
-    rows = max(1, _MC_BLOCK // (n_dim * d))
+        # column x d + r is row r of H_x, so psi @ stacked holds every H_x psi
+        stacked = steps.reshape(d * d, d).T
+        rows = _mc_block_rows(d**3)
+    else:
+        rows = _mc_block_rows(n_dim * d)
+        # coordinates per product, so that each stays within _MC_BLOCK
+        # multiply-adds: all of them unless the floor binds
+        span = max(1, _MC_BLOCK // (rows * d))
     seeded = isinstance(rng, (int, np.integer))
 
-    def chunk_sums(i: int) -> tuple[float, float]:
+    def block_values(gen, states, lo: int, k: int) -> np.ndarray:
+        # a function, so that a block's arrays are freed before the next draw
+        if haar:
+            psi = states[lo : lo + k]
+            w = (psi @ stacked).reshape(k, d, d)
+            proj = np.einsum("ij,ixj->ix", psi.conj(), w).real
+        else:
+            u = sample_sphere(n_dim, gen, size=k)
+            proj = u[:, :span] @ diffs[:, :span].T
+            for c in range(span, n_dim, span):
+                proj += u[:, c : c + span] @ diffs[:, c : c + span].T
+        return coef * np.abs(proj).sum(axis=1)
+
+    def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
         gen = substream(int(rng), i) if seeded else rng
-        if model.u_mode == "sphere-uniform":
-            vals = np.empty(m)
-            for lo in range(0, m, rows):
-                u = sample_sphere(n_dim, gen, size=min(rows, m - lo))
-                vals[lo : lo + len(u)] = coef * np.abs(u @ diffs.T).sum(axis=1)
-        else:
-            states = sample_haar_pure(d, gen, size=m)
-            bra = states.conj()
-            proj = np.empty((m, d))
-            for x in range(d):
-                proj[:, x] = np.einsum("ij,ij->i", bra, states @ steps[x].T).real
-            vals = coef * np.abs(proj).sum(axis=1)
+        states = sample_haar_pure(d, gen, size=m) if haar else None
+        vals = np.empty(m)
+        for lo in range(0, m, rows):
+            k = min(rows, m - lo)
+            vals[lo : lo + k] = block_values(gen, states, lo, k)
+        total = float(vals.sum())
+        vals -= total / m  # deviations from the chunk mean
         # einsum's own loop, not BLAS: np.dot splits long vectors over
         # OpenBLAS threads, so its last bits would depend on their count
-        return float(vals.sum()), float(np.einsum("i,i->", vals, vals))
+        return m, total, float(np.einsum("i,i->", vals, vals))
 
     n_chunks = -(-n_samples // _MC_CHUNK)
     workers = _mc_workers(n_chunks) if seeded else 1
@@ -279,12 +322,12 @@ def leggett_bound_mc(
     else:
         sums = [chunk_sums(i) for i in range(n_chunks)]
 
-    total = math.fsum(s for s, _ in sums)
-    total_sq = math.fsum(sq for _, sq in sums)
-    mean = total / n_samples
+    mean = math.fsum(s for _, s, _ in sums) / n_samples
     if n_samples > 1:
-        var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-        stderr = math.sqrt(var / n_samples)
+        # squared deviations within chunks plus those of the chunk means
+        # (Chan, Golub & LeVeque), so no two large sums of squares cancel
+        dev_sq = math.fsum(q + m * (s / m - mean) ** 2 for m, s, q in sums)
+        stderr = math.sqrt(dev_sq / (n_samples - 1) / n_samples)
     else:
         stderr = 0.0
     return BoundEstimate(value=mean, std_error=stderr, samples=n_samples)
@@ -350,6 +393,11 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
     near N = 5e6 at d = 100, 1e7 at d = 24 and 3e7 at d = 5.  A crossing
     in that range is not guaranteed to be the first one.
     """
+    return _critical_search(d, eta, n_max)[0]
+
+
+def _critical_search(d: int, eta: float, n_max: int) -> tuple[int, float]:
+    """`find_critical_n` and its I_N, the value the bisection last accepted."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     # integer limits only: a float such as 100.5 raises TypeError
@@ -362,15 +410,16 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
             f"gap I_N - bound = {value - bound:.6g}",
             gap=value - bound,
         )
-    # invariant: I_lo >= bound (I_0 taken as +inf) and I_hi < bound
+    # invariant: I_lo >= bound (I_0 taken as +inf) and I_hi = value < bound
     lo, hi = 0, n_max
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if cglmp_chained_value(d, mid) < bound:
-            hi = mid
+        i_mid = cglmp_chained_value(d, mid)
+        if i_mid < bound:
+            hi, value = mid, i_mid
         else:
             lo = mid
-    return hi
+    return hi, value
 
 
 class ConstructionError(RuntimeError):

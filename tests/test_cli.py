@@ -135,6 +135,26 @@ def test_sweep_critical_table_monotone(capsys):
         assert all(r["violated"] for r in rows)
 
 
+def test_sweep_critical_rows_take_i_n_from_the_search(capsys, monkeypatch):
+    # the bisection has already evaluated I at N_crit; fig 3 evaluates no more
+    from cryptononlocal.quantum import cglmp_chained_value
+
+    def no_second_call(d, n):
+        raise AssertionError(f"I_{n} evaluated again at d={d}")
+
+    monkeypatch.setattr(cli, "cglmp_chained_value", no_second_call)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--fig", "3", "--d-range", "2..6", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 5 * 4
+    for r in rows:
+        value = cglmp_chained_value(r["d"], r["N"])
+        assert value < r["bound"]
+        assert r["i_n"] == pytest.approx(value, rel=0, abs=5e-13)  # 12 decimals
+
+
 def test_sweep_empty_range_rejected(capsys):
     code, _, err = run_cli(capsys, "sweep", "--fig", "2", "--n-range", "9..3")
     assert code == 2

@@ -17,7 +17,6 @@ from cryptononlocal.bloch import (
     substream,
 )
 from cryptononlocal.leggett import (
-    _MC_BLOCK,
     _MC_CHUNK,
     CriticalNotFoundError,
     LocalModel,
@@ -175,6 +174,10 @@ def _haar_mc_oracle(basis, eta, n_samples, rng):
         (6, 1.0, 3000, 15),
         (3, 1.0, _MC_CHUNK + 4000, 16),
         (4, 0.9, 5000, "generator"),
+        # d^3 = 8000 multiply-adds per row: 64-row blocks, the floor
+        (20, 1.0, 63, 18),
+        (20, 0.8, 65, 19),
+        (20, 1.0, 129, "generator"),
     ],
 )
 def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, rng):
@@ -213,10 +216,22 @@ def _sphere_mc_oracle(basis, eta, n_samples, rng):
 @pytest.mark.parametrize("d", range(2, 7))
 def test_mc_bound_sphere_matches_one_shot_oracle(d, eta, rng):
     # sample counts at the edges of a row block and of a chunk
-    block = max(1, _MC_BLOCK // ((d * d - 1) * d))
+    block = leggett._mc_block_rows((d * d - 1) * d)
+    counts = (1, block - 1, block + 1, _MC_CHUNK + 4000, 3 * _MC_CHUNK + 7)
+    _check_sphere_against_oracle(d, eta, rng, counts)
+
+
+@pytest.mark.parametrize("d,eta,rng", [(51, 1.0, 23), (100, 0.6, "generator")])
+def test_mc_bound_sphere_matches_one_shot_oracle_at_the_row_floor(d, eta, rng):
+    # from d = 17 up a block is 64 rows; counts around one and two blocks
+    assert leggett._mc_block_rows((d * d - 1) * d) == 64
+    _check_sphere_against_oracle(d, eta, rng, (63, 65, 129))
+
+
+def _check_sphere_against_oracle(d, eta, rng, counts):
     basis = _cglmp_basis(d)
     model = LocalModel(d=d, eta=eta)
-    for n_samples in (1, block - 1, block + 1, _MC_CHUNK + 4000, 3 * _MC_CHUNK + 7):
+    for n_samples in counts:
         if rng == "generator":
             est = leggett_bound_mc(basis, model, n_samples, substream(29, d))
             value, stderr = _sphere_mc_oracle(basis, eta, n_samples, substream(29, d))
@@ -244,11 +259,13 @@ def test_mc_bound_same_for_any_worker_count(monkeypatch, u_mode):
 _BLAS_PROBE = """
 from cryptononlocal.leggett import LocalModel, basis_to_bloch, leggett_bound_mc
 from cryptononlocal.quantum import cglmp_bases, chained_settings
-for d in range(2, 6):
+cases = [(d, mode, 65536) for d in range(2, 6) for mode in ("sphere-uniform", "haar-pure")]
+# 64-row blocks, whose products OpenBLAS may split over its threads
+cases += [(20, "haar-pure", 256), (51, "sphere-uniform", 130)]
+for d, mode, n_samples in cases:
     basis = basis_to_bloch(cglmp_bases(chained_settings(d, 1))[0][0])
-    for mode in ("sphere-uniform", "haar-pure"):
-        est = leggett_bound_mc(basis, LocalModel(d=d, u_mode=mode), 65536, 7)
-        print(est.value.hex(), est.std_error.hex())
+    est = leggett_bound_mc(basis, LocalModel(d=d, u_mode=mode), n_samples, 7)
+    print(est.value.hex(), est.std_error.hex())
 """
 
 
@@ -271,7 +288,7 @@ def test_mc_bound_same_for_any_blas_thread_count():
         )
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert outputs[0].count("\n") == 8
+    assert outputs[0].count("\n") == 10
     assert outputs[0] == outputs[1]
 
 
