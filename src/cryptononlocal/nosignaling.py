@@ -25,13 +25,20 @@ perfectly predicted by one hidden unit vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import substream
 from .leggett import basis_to_bloch
-from .quantum import JointDistribution, _as_probs, _signaling_residuals, chained_value
+from .quantum import (
+    JointDistribution,
+    _as_float_array,
+    _as_probs,
+    _signaling_residuals,
+    chained_value,
+)
 
 __all__ = [
     "statistical_distance",
@@ -53,13 +60,20 @@ _NORM_TOL = 1e-9
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float).reshape(-1)
-    # NaN compares False, so the sign and sum checks would pass it
-    if not np.isfinite(p).all():
+    p = _as_float_array(p, name).reshape(-1)
+    if p.size == 0:
+        raise ValueError(f"{name} is empty")
+    # np.isfinite runs only when the sign or the sum check fails: NaN and
+    # -inf fail the first (NaN compares False) and +inf makes the sum
+    # infinite.  No sum is taken past a failed sign check, where
+    # inf + -inf would warn.
+    lowest = p.min()
+    total = p.sum() if lowest >= -1e-12 else math.nan
+    if not math.isfinite(total) and not np.isfinite(p).all():
         raise ValueError(f"{name} has a non-finite entry")
-    if p.min() < -1e-12:
+    if lowest < -1e-12:
         raise ValueError(f"{name} has a negative entry")
-    if abs(p.sum() - 1.0) > _NORM_TOL:
+    if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"{name} is not normalized")
     return p
 
@@ -108,6 +122,13 @@ def random_no_signaling(
     modulo-correlated boxes Y = X + f(A, B) with X uniform, weighted
     (1 - mix) : mix.  Both blocks are no-signaling by construction, so no
     projection or clipping is ever needed.
+
+    Each term is added to a flat buffer of n^2 d^2 entries by one scatter
+    into the cells it weighs: one per setting pair for a strategy, one per
+    setting pair and X for a box.  The generator calls are those of the
+    dense construction, in its order, and every entry sums its terms in the
+    order drawn, from 0.0, so the tensor is bit for bit the one that adding
+    a dense array per term gives.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -116,30 +137,26 @@ def random_no_signaling(
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
     gen = substream(int(rng), 0) if isinstance(rng, (int, np.integer)) else rng
-    probs = np.zeros((n, n, d, d))
+    flat = np.zeros(n * n * d * d)
+    # entry (A, B, X, Y) sits at flat index (A n + B) d^2 + X d + Y
+    pair = np.arange(0, flat.size, d * d).reshape(n, n)
 
     n_local = int(gen.integers(1, 6))
     w = gen.dirichlet(np.ones(n_local))
     for i in range(n_local):
         a = gen.integers(0, d, size=n)
         b = gen.integers(0, d, size=n)
-        one_a = np.zeros((n, d))
-        one_a[np.arange(n), a] = 1.0
-        one_b = np.zeros((n, d))
-        one_b[np.arange(n), b] = 1.0
-        probs += (1.0 - mix) * w[i] * np.einsum("ax,by->abxy", one_a, one_b)
+        flat[pair + (a * d)[:, None] + b] += (1.0 - mix) * w[i]
 
     n_box = int(gen.integers(1, 6))
     v = gen.dirichlet(np.ones(n_box))
     x = np.arange(d)
-    a_idx = np.arange(n)[:, None, None]
-    b_idx = np.arange(n)[None, :, None]
+    cells = x * d + (x + x[:, None]) % d  # cells[f, X] = X d + (X + f) mod d
     for i in range(n_box):
         f = gen.integers(0, d, size=(n, n))
-        y = (x[None, None, :] + f[:, :, None]) % d
-        probs[a_idx, b_idx, x[None, None, :], y] += mix * v[i] / d
+        flat[pair[:, :, None] + cells[f]] += mix * v[i] / d
 
-    dist = JointDistribution(d=d, n=n, probs=probs)
+    dist = JointDistribution(d=d, n=n, probs=flat.reshape(n, n, d, d))
     dist.validate()
     return dist
 
@@ -168,8 +185,12 @@ def verify_shift_bound(dist, tol: float = 1e-9) -> ShiftBoundReport:
     dist.validate(tol, no_signaling=True)
     probs = dist.probs
     i_n = chained_value(probs)
-    marg = probs.sum(axis=3).mean(axis=1)  # (A, X), B-averaged
-    shifts = np.abs(marg - np.roll(marg, -1, axis=1)).sum(axis=1) / probs.shape[2]
+    n, d = probs.shape[1], probs.shape[2]
+    # (A, X), B-averaged: the sum and division that mean(axis=1) makes
+    marg = probs.sum(axis=3).sum(axis=1) / n
+    # marg[:, next_x] is np.roll(marg, -1, axis=1), in one call
+    next_x = np.arange(1, d + 1) % d
+    shifts = np.abs(marg - marg[:, next_x]).sum(axis=1) / d
     max_shift = float(shifts.max())
     slack = i_n - max_shift
     return ShiftBoundReport(
@@ -192,14 +213,18 @@ class AgreementReport:
 def check_agreement_bound(dist, a: int, b: int, tol: float = 1e-9) -> AgreementReport:
     """Check ``P(X_A = Y_B) <= 1 - Delta(P_{X_A}, P_{Y_B})`` at one pair.
 
-    ``a`` and ``b`` are 1-based setting indices.
+    ``a`` and ``b`` are 1-based setting indices; anything but an integer
+    (a bool, a float) is refused.
     """
     probs = _as_probs(dist)
-    n, d = probs.shape[0], probs.shape[2]
+    n = probs.shape[0]
+    for name, index in (("a", a), ("b", b)):
+        if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"setting index {name}={index!r} is not an integer")
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"setting indices ({a}, {b}) out of range 1..{n}")
     block = probs[a - 1, b - 1]
-    p_equal = float(np.trace(block))
+    p_equal = float(block.trace())
     delta = statistical_distance(block.sum(axis=1), block.sum(axis=0))
     slack = 1.0 - delta - p_equal
     return AgreementReport(

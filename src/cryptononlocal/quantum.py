@@ -24,6 +24,7 @@ indexed ``probs[A-1, B-1, X, Y]``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,9 +100,47 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
+def _as_float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, if every entry is a real number.
+
+    ``np.asarray(values, dtype=float)`` would parse the strings ``"1"`` and
+    ``"0"``, take booleans as 1 and 0, and drop imaginary parts with only a
+    warning.  Here strings, booleans and complex entries with a nonzero
+    imaginary part raise `ValueError` naming their dtype, as does input that
+    is ragged, not numeric or past the float range (an integer above
+    2**1024).  A float array is returned as it is.
+    """
+    not_real = f"{name} is not a rectangular array of numbers"
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{not_real}: {exc}") from exc
+    kind = arr.dtype.kind
+    if kind not in "iufcO":
+        raise ValueError(f"{not_real}: it has dtype {arr.dtype}")
+    if kind == "O" or not isinstance(values, np.ndarray):
+        # numpy promotes a boolean among numbers to 1.0 and an object array
+        # parses strings, so look at each entry's own type
+        entries = arr if kind == "O" else np.array(values, dtype=object)
+        for entry_type in set(map(type, entries.flat)):
+            if issubclass(entry_type, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"{not_real}: an entry has dtype {entry_type.__name__}")
+    if kind == "c":
+        if np.any(arr.imag):
+            raise ValueError(f"{not_real}: dtype {arr.dtype} with a nonzero imaginary part")
+        arr = arr.real
+    try:
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{not_real}: {exc}") from exc
+
+
 def _as_probs(dist) -> np.ndarray:
     """The ``(n, n, d, d)`` tensor of a JointDistribution or of a bare array."""
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
+    if isinstance(dist, JointDistribution):
+        probs = dist.probs
+    else:
+        probs = _as_float_array(dist, "probs")
     shape = probs.shape
     if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
         raise ValueError(f"expected shape (n, n, d, d), got {shape}")
@@ -117,16 +156,21 @@ def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
     # reducing over the leading axis runs on long rows, over axis 1 on
     # d-long ones: the transposed copy costs less than it saves
     alice_by_b = np.ascontiguousarray(alice.transpose(1, 0, 2))  # (B, A, X)
-    return float(np.ptp(alice_by_b, axis=0).max()), float(np.ptp(bob, axis=0).max())
+    return (
+        float((alice_by_b.max(axis=0) - alice_by_b.min(axis=0)).max()),
+        float((bob.max(axis=0) - bob.min(axis=0)).max()),
+    )
 
 
 @dataclass(frozen=True)
 class JointDistribution:
     """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``.
 
-    ``probs`` may be any array-like; it is converted once, on construction,
-    to a float array.  Input that is ragged, not numeric or past the float
-    range (an integer above 2**1024) raises `ValueError`.
+    ``probs`` may be any array-like of real numbers; it is converted once,
+    on construction, to a float array.  Input that is ragged, holds strings,
+    booleans or complex entries with a nonzero imaginary part, is not
+    numeric or is past the float range (an integer above 2**1024) raises
+    `ValueError`.
     """
 
     d: int
@@ -134,13 +178,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            probs = np.asarray(self.probs, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"probs is not a rectangular array of numbers: {exc}"
-            ) from exc
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _as_float_array(self.probs, "probs"))
 
     def validate(self, tol: float = PROB_TOL, no_signaling: bool = False) -> None:
         """Check shape, finiteness, sign (entries >= -tol) and normalization.
@@ -154,9 +192,11 @@ class JointDistribution:
             raise ValueError(
                 f"probs shape {p.shape} does not match (n, n, d, d) = {expected}"
             )
-        # NaN compares False, so the sign and sum checks would pass it
+        # NaN compares False, so the sign and sum checks would pass it.  The
+        # sums of finite entries can overflow too, so np.isfinite decides
+        # which defect a non-finite deviation names.
         deviation = np.abs(np.einsum("abxy->ab", p) - 1.0).max()
-        if not math.isfinite(deviation):
+        if not math.isfinite(deviation) and not np.isfinite(p).all():
             raise ValueError("non-finite entry")
         if p.min() < -tol:
             raise ValueError("negative probability entry")
@@ -261,18 +301,26 @@ def chained_value(dist) -> float:
     """
     probs = _as_probs(dist)
     n, d = probs.shape[0], probs.shape[2]
-    x = np.arange(d)[:, None]
-    y = np.arange(d)[None, :]
-    w_xy = (x - y) % d
-    w_yx = (y - x) % d
-    w_wrap = (y - x - 1) % d
+    w_xy, w_yx, w_wrap = _chain_weights(d)
     diag = np.einsum("iixy->xy", probs)
-    total = float(np.sum(w_xy * diag))
+    total = float((w_xy * diag).sum())
     if n > 1:
         above = np.einsum("iixy->xy", probs[1:, :-1])
-        total += float(np.sum(w_yx * above))
-    total += float(np.sum(w_wrap * probs[0, n - 1]))
+        total += float((w_yx * above).sum())
+    total += float((w_wrap * probs[0, n - 1]).sum())
     return total
+
+
+@functools.lru_cache(maxsize=32)
+def _chain_weights(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only weights ``[X - Y]``, ``[Y - X]`` and ``[Y - X - 1]`` (mod d)
+    of the chain terms, indexed ``[X, Y]``."""
+    x = np.arange(d)[:, None]
+    y = np.arange(d)[None, :]
+    weights = ((x - y) % d, (y - x) % d, (y - x - 1) % d)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def cglmp_chained_value(d: int, n: int) -> float:

@@ -382,6 +382,16 @@ def _signaling_probs():
 
 
 UNIFORM = _uniform_probs().tolist()
+# P(X=0, Y=0 | A, B) = 1: no-signaling and normalized, so written with
+# strings or booleans in place of numbers it names only the type defect
+CERTAIN_00 = np.zeros((2, 2, 2, 2))
+CERTAIN_00[:, :, 0, 0] = 1.0
+
+
+def _certain_00_with_one_true():
+    probs = CERTAIN_00.astype(object)
+    probs[0, 0, 0, 0] = True
+    return probs.tolist()
 
 
 def _fx(probs=UNIFORM, **fields):
@@ -396,12 +406,26 @@ def _fx(probs=UNIFORM, **fields):
         pytest.param(_fx(n=3), "does not match", id="n-mismatch"),
         pytest.param(_fx(_probs_with("x")), "numbers", id="string"),
         pytest.param(_fx(_probs_with({})), "numbers", id="object"),
+        pytest.param(
+            _fx(np.where(CERTAIN_00 == 1, "1", "0").tolist()),
+            "has dtype <U1",
+            id="string-array",
+        ),
+        pytest.param(_fx((CERTAIN_00 == 1).tolist()), "has dtype bool", id="boolean-array"),
+        pytest.param(
+            _fx(_certain_00_with_one_true()), "an entry has dtype bool", id="boolean-entry"
+        ),
         pytest.param(_fx(_negative_probs()), "negative", id="negative"),
         pytest.param(
             _fx((_uniform_probs() * 1.2).tolist()), "not normalized", id="unnormalized"
         ),
         pytest.param(_fx(n=10**12), "does not match", id="huge-n"),
         pytest.param(_fx(_probs_with(float("nan"))), "non-finite entry", id="nan"),
+        pytest.param(
+            _fx(np.full((2, 2, 2, 2), 1e308).tolist()),
+            "setting pair not normalized",
+            id="overflowing-sums",
+        ),
         pytest.param(_fx(_signaling_probs()), "signals", id="signaling"),
         pytest.param([2, 2, UNIFORM], "JSON object", id="top-level-list"),
         pytest.param(_fx(d=2.5), "d must be an integer >= 2, got 2.5", id="float-d"),

@@ -16,8 +16,10 @@ from cryptononlocal.nosignaling import (
 )
 from cryptononlocal.quantum import (
     JointDistribution,
+    _signaling_residuals,
     cglmp_bases,
     chained_settings,
+    chained_value,
     joint_distribution,
     maximally_entangled,
 )
@@ -54,6 +56,29 @@ def test_statistical_distance_rejects_non_finite(bad):
         statistical_distance([bad, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="Q has a non-finite entry"):
         statistical_distance([0.5, 0.5], [1.0, bad])
+
+
+@pytest.mark.parametrize(
+    "p,needle",
+    [
+        ([np.nan, 1.0], "has a non-finite entry"),
+        ([np.inf, -np.inf], "has a non-finite entry"),
+        ([np.inf, -0.5], "has a non-finite entry"),
+        ([-0.5, 1.5], "has a negative entry"),
+        ([], "is empty"),
+    ],
+)
+def test_statistical_distance_names_the_defect(p, needle):
+    # the sign and sum checks screen for non-finite entries, and the
+    # message stays the one np.isfinite gives
+    with pytest.raises(ValueError, match=f"P {needle}"):
+        statistical_distance(p, p)
+
+
+def test_statistical_distance_overflowing_sum_is_not_normalized():
+    # every entry is finite; only their sum overflows (numpy warns of that)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="P is not normalized"):
+        statistical_distance([1e308, 1e308], [0.5, 0.5])
 
 
 def _product_shifts(pa, n=2):
@@ -212,6 +237,132 @@ def test_agreement_bound_random_corpus():
         for a in (1, 2):
             for b in (1, 2):
                 assert check_agreement_bound(dist, a, b).passed
+
+
+@pytest.mark.parametrize(
+    "a,b,needle",
+    [
+        (True, 1, "a=True"),
+        (1, np.True_, "b=np.True_"),
+        (1.5, 1, "a=1.5"),
+        (1, 2.0, "b=2.0"),
+    ],
+)
+def test_agreement_bound_refuses_non_integer_settings(a, b, needle):
+    probs = np.full((2, 2, 2, 2), 0.25)
+    with pytest.raises(ValueError, match=f"setting index {needle} is not an integer"):
+        check_agreement_bound(probs, a, b)
+
+
+def test_agreement_bound_takes_numpy_integer_settings():
+    dist = random_no_signaling(3, 2, 0.5, 5)
+    assert check_agreement_bound(dist, np.int64(1), 2) == check_agreement_bound(dist, 1, 2)
+
+
+# `"1"` and `"0"` parse as numbers, so without the type check this string
+# tensor passes as a valid no-signaling distribution
+_STRING_BOX = np.where(np.arange(4).reshape(1, 1, 2, 2) == 0, "1", "0")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [chained_value, check_no_signaling, verify_shift_bound, lambda p: check_agreement_bound(p, 1, 1)],
+    ids=["chained_value", "check_no_signaling", "verify_shift_bound", "check_agreement_bound"],
+)
+@pytest.mark.parametrize("form", ["array", "list"])
+def test_tensor_readers_reject_strings(call, form):
+    probs = _STRING_BOX if form == "array" else _STRING_BOX.tolist()
+    with pytest.raises(ValueError, match="dtype <U1"):
+        call(probs)
+
+
+def _dense_random_no_signaling(d, n, mix, rng):
+    """The construction `random_no_signaling` replaced: one dense (n, n, d, d)
+    addend per strategy, from one-hot einsums, and a 4-array fancy-index add
+    per box."""
+    gen = substream(int(rng), 0) if isinstance(rng, int) else rng
+    probs = np.zeros((n, n, d, d))
+    n_local = int(gen.integers(1, 6))
+    w = gen.dirichlet(np.ones(n_local))
+    for i in range(n_local):
+        a = gen.integers(0, d, size=n)
+        b = gen.integers(0, d, size=n)
+        one_a = np.zeros((n, d))
+        one_a[np.arange(n), a] = 1.0
+        one_b = np.zeros((n, d))
+        one_b[np.arange(n), b] = 1.0
+        probs += (1.0 - mix) * w[i] * np.einsum("ax,by->abxy", one_a, one_b)
+    n_box = int(gen.integers(1, 6))
+    v = gen.dirichlet(np.ones(n_box))
+    x = np.arange(d)
+    a_idx = np.arange(n)[:, None, None]
+    b_idx = np.arange(n)[None, :, None]
+    for i in range(n_box):
+        f = gen.integers(0, d, size=(n, n))
+        y = (x[None, None, :] + f[:, :, None]) % d
+        probs[a_idx, b_idx, x[None, None, :], y] += mix * v[i] / d
+    return probs
+
+
+def _inline_chained_value(probs):
+    """`chained_value` with its weight matrices built inline on every call."""
+    n, d = probs.shape[0], probs.shape[2]
+    x = np.arange(d)[:, None]
+    y = np.arange(d)[None, :]
+    total = float(np.sum((x - y) % d * np.einsum("iixy->xy", probs)))
+    if n > 1:
+        total += float(np.sum((y - x) % d * np.einsum("iixy->xy", probs[1:, :-1])))
+    total += float(np.sum((y - x - 1) % d * probs[0, n - 1]))
+    return total
+
+
+def _roll_shifts(probs):
+    """Per-setting shift distances with `np.roll` and the B-mean."""
+    marg = probs.sum(axis=3).mean(axis=1)
+    return np.abs(marg - np.roll(marg, -1, axis=1)).sum(axis=1) / probs.shape[2]
+
+
+def _ptp_residuals(probs):
+    """Signaling residuals with `np.ptp`."""
+    alice = np.einsum("abxy->abx", probs)
+    bob = np.einsum("abxy->aby", probs)
+    alice_by_b = np.ascontiguousarray(alice.transpose(1, 0, 2))
+    return float(np.ptp(alice_by_b, axis=0).max()), float(np.ptp(bob, axis=0).max())
+
+
+@pytest.mark.parametrize("mix", [0.0, 1.0, "drawn"])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_verification_path_is_bit_identical_to_dense_oracles(d, mix):
+    for n in range(1, 10):
+        seed = 100 * d + n
+        for rng in ("seed", "generator"):
+            gen, oracle_gen = substream(seed, 1), substream(seed, 1)
+            m = float(gen.uniform()) if mix == "drawn" else mix
+            if mix == "drawn":
+                oracle_gen.uniform()
+            if rng == "seed":
+                dist = random_no_signaling(d, n, m, seed)
+                probs = _dense_random_no_signaling(d, n, m, seed)
+            else:
+                dist = random_no_signaling(d, n, m, gen)
+                probs = _dense_random_no_signaling(d, n, m, oracle_gen)
+                # the same generator calls: both streams stand at one place
+                assert gen.integers(2**63) == oracle_gen.integers(2**63)
+            assert np.array_equal(dist.probs, probs)
+            chained = _inline_chained_value(probs)
+            assert chained_value(dist) == chained
+            shifts = _roll_shifts(probs)
+            report = verify_shift_bound(dist)
+            assert report.chained == chained
+            assert np.array_equal(report.shifts, shifts)
+            assert report.slack == chained - float(shifts.max())
+            residuals = _ptp_residuals(probs)
+            assert _signaling_residuals(dist.probs) == residuals
+            signaling = check_no_signaling(dist)
+            assert (signaling.alice_residual, signaling.bob_residual) == residuals
+            block = probs[0, n - 1]
+            agreement = check_agreement_bound(dist, 1, n)
+            assert agreement.p_equal == float(np.trace(block))
 
 
 def test_strategy_chained_value_wrap():

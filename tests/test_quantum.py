@@ -204,6 +204,16 @@ def test_joint_distribution_validate_rejects_non_finite(bad):
         JointDistribution(d=2, n=2, probs=one).validate()
 
 
+def test_joint_distribution_validate_names_overflowing_sums_unnormalized():
+    # every entry is finite; only the sums over a setting pair overflow
+    huge = np.full((2, 2, 2, 2), 1e308)
+    with pytest.raises(ValueError, match="setting pair not normalized"):
+        JointDistribution(d=2, n=2, probs=huge).validate()
+    huge[0, 0, 0, 0] = -np.inf
+    with pytest.raises(ValueError, match="non-finite entry"):
+        JointDistribution(d=2, n=2, probs=huge).validate()
+
+
 def _closed_form_oracle(settings):
     """Entrywise closed form: the kernel on all N^2 gaps, then an N^2 d^2 gather."""
     d = settings.d
@@ -391,10 +401,49 @@ def test_joint_distribution_converts_nested_lists_once():
 
 
 @pytest.mark.parametrize(
-    "probs",
-    [[[[[0.5, 0.5], [0.0]]]], [[[["a", "b"], ["c", "d"]]]], [[[[2**1100, 0], [0, 0]]]]],
-    ids=["ragged", "not-numeric", "huge-int"],
+    "probs,needle",
+    [
+        ([[[[0.5, 0.5], [0.0]]]], "rectangular"),
+        ([[[["a", "b"], ["c", "d"]]]], "dtype <U1"),
+        ([[[[2**1100, 0], [0, 0]]]], "int too large"),
+        ([[[["1", "0"], ["0", "0"]]]], "dtype <U1"),
+        (np.array([[[["1", "0"], ["0", "0"]]]]), "dtype <U1"),
+        ([[[[True, False], [False, False]]]], "dtype bool"),
+        (np.eye(2, dtype=bool).reshape(1, 1, 2, 2), "dtype bool"),
+        ([[[[True, 0.0], [0.0, 0.0]]]], "an entry has dtype bool"),
+        ([[[[np.True_, 0], [0, 2**70]]]], "an entry has dtype bool"),
+        ([[[["1", 0], [0, 2**70]]]], "an entry has dtype str"),
+        (np.full((1, 1, 2, 2), 0.25 + 1e-30j), "complex128 with a nonzero imaginary part"),
+        (np.zeros((1, 1, 2, 2), dtype="datetime64[s]"), "dtype datetime64[s]"),
+    ],
+    ids=[
+        "ragged",
+        "not-numeric",
+        "huge-int",
+        "string-list",
+        "string-array",
+        "bool-list",
+        "bool-array",
+        "bool-among-floats",
+        "bool-in-object-array",
+        "string-in-object-array",
+        "complex",
+        "datetime",
+    ],
 )
-def test_joint_distribution_rejects_non_array_probs(probs):
-    with pytest.raises(ValueError, match="not a rectangular array of numbers"):
+def test_joint_distribution_rejects_non_array_probs(probs, needle):
+    with pytest.raises(ValueError, match="not a rectangular array of numbers") as info:
         JointDistribution(d=2, n=1, probs=probs)
+    assert needle in str(info.value)
+
+
+def test_joint_distribution_takes_the_real_part_of_real_complex_probs():
+    # an imaginary part of zero is dropped without numpy's ComplexWarning
+    dist = JointDistribution(d=2, n=1, probs=np.full((1, 1, 2, 2), 0.25 + 0j))
+    assert dist.probs.dtype == float
+    assert np.array_equal(dist.probs, np.full((1, 1, 2, 2), 0.25))
+
+
+def test_joint_distribution_keeps_a_float_array():
+    probs = np.full((1, 1, 2, 2), 0.25)
+    assert JointDistribution(d=2, n=1, probs=probs).probs is probs
