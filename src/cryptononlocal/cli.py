@@ -334,7 +334,9 @@ def _load_fixture(path: str) -> JointDistribution:
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    dist = JointDistribution(d=data["d"], n=data["n"], probs=data["probs"])
+    dist = JointDistribution(data["probs"])
+    if (data["d"], data["n"]) != (dist.d, dist.n):
+        raise ValueError(f"d={data['d']}, n={data['n']} does not match probs {dist.probs.shape}")
     dist.validate(tol=1e-9, no_signaling=True)
     return dist
 

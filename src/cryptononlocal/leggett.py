@@ -78,14 +78,17 @@ _SPAN_TOL = 1e-9
 class MeasurementBasisBloch:
     """Bloch vectors of one projective measurement, one row per outcome."""
 
-    d: int
     vectors: np.ndarray  # shape (d, d**2 - 1)
 
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[0]
+
     def validate(self, tol: float = 1e-10) -> None:
-        """Completeness, pairwise overlap and cyclic step-length checks."""
+        """Shape, completeness, pairwise overlap and cyclic step-length checks."""
         d, v = self.d, self.vectors
-        if v.shape != (d, d * d - 1):
-            raise ValueError(f"vectors shape {v.shape} does not match d={d}")
+        if v.shape != (d, d * d - 1) or d < 2:
+            raise ValueError(f"vectors shape {v.shape} is not (d >= 2, d**2 - 1)")
         if np.abs(v.sum(axis=0)).max() > tol:
             raise ValueError("outcome vectors do not sum to zero")
         gram = v @ v.T
@@ -109,7 +112,7 @@ def basis_to_bloch(basis: np.ndarray) -> MeasurementBasisBloch:
     gram = basis @ basis.conj().T
     if np.abs(gram - np.eye(d)).max() > 1e-10:
         raise ValueError("input vectors are not an orthonormal basis")
-    out = MeasurementBasisBloch(d=d, vectors=state_to_bloch(basis))
+    out = MeasurementBasisBloch(state_to_bloch(basis))
     out.validate()
     return out
 

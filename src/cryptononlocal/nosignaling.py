@@ -35,7 +35,6 @@ from .leggett import basis_to_bloch
 from .quantum import (
     JointDistribution,
     _as_float_array,
-    _as_probs,
     _signaling_residuals,
     chained_value,
 )
@@ -63,15 +62,12 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = _as_float_array(p, name).reshape(-1)
     if p.size == 0:
         raise ValueError(f"{name} is empty")
-    # np.isfinite runs only when the sign or the sum check fails: NaN and
-    # -inf fail the first (NaN compares False) and +inf makes the sum
-    # infinite.  No sum is taken past a failed sign check, where
-    # inf + -inf would warn.
-    lowest = p.min()
-    total = p.sum() if lowest >= -1e-12 else math.nan
+    # Python's float sum, unlike ndarray.sum, never warns: any non-finite entry
+    # or overflow makes it inf or nan, and only then does np.isfinite run.
+    total = sum(p.tolist())
     if not math.isfinite(total) and not np.isfinite(p).all():
         raise ValueError(f"{name} has a non-finite entry")
-    if lowest < -1e-12:
+    if p.min() < -1e-12:
         raise ValueError(f"{name} has a negative entry")
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"{name} is not normalized")
@@ -100,9 +96,9 @@ class NoSignalingReport:
     passed: bool
 
 
-def check_no_signaling(dist, tol: float = 1e-12) -> NoSignalingReport:
+def check_no_signaling(dist: JointDistribution, tol: float = 1e-12) -> NoSignalingReport:
     """Largest variation of either party's marginals across remote settings."""
-    res_a, res_b = _signaling_residuals(_as_probs(dist))
+    res_a, res_b = _signaling_residuals(dist.probs)
     residual = max(res_a, res_b)
     return NoSignalingReport(
         alice_residual=res_a,
@@ -156,7 +152,7 @@ def random_no_signaling(
         f = gen.integers(0, d, size=(n, n))
         flat[pair[:, :, None] + cells[f]] += mix * v[i] / d
 
-    dist = JointDistribution(d=d, n=n, probs=flat.reshape(n, n, d, d))
+    dist = JointDistribution(flat.reshape(n, n, d, d))
     dist.validate()
     return dist
 
@@ -170,27 +166,21 @@ class ShiftBoundReport:
     passed: bool
 
 
-def verify_shift_bound(dist, tol: float = 1e-9) -> ShiftBoundReport:
+def verify_shift_bound(dist: JointDistribution, tol: float = 1e-9) -> ShiftBoundReport:
     """Check ``Delta(P_X|a, P_X+1|a) <= I_N`` for every Alice setting.
 
-    The input is checked by `JointDistribution.validate` with
-    ``no_signaling=True`` at ``tol``: shape, finiteness, sign,
-    normalization and no-signaling (the bound presumes it).  ``slack`` is
-    I_N minus the largest per-setting shift distance and must stay above
-    -tol.
+    The distribution is checked by `JointDistribution.validate` with
+    ``no_signaling=True`` at ``tol``: finiteness, sign, normalization and
+    no-signaling (the bound presumes it).  ``slack`` is I_N minus the
+    largest per-setting shift distance and must stay above -tol.
     """
-    if not isinstance(dist, JointDistribution):
-        probs = _as_probs(dist)
-        dist = JointDistribution(d=probs.shape[2], n=probs.shape[0], probs=probs)
     dist.validate(tol, no_signaling=True)
-    probs = dist.probs
-    i_n = chained_value(probs)
-    n, d = probs.shape[1], probs.shape[2]
+    i_n = chained_value(dist)
     # (A, X), B-averaged: the sum and division that mean(axis=1) makes
-    marg = probs.sum(axis=3).sum(axis=1) / n
+    marg = dist.probs.sum(axis=3).sum(axis=1) / dist.n
     # marg[:, next_x] is np.roll(marg, -1, axis=1), in one call
-    next_x = np.arange(1, d + 1) % d
-    shifts = np.abs(marg - marg[:, next_x]).sum(axis=1) / d
+    next_x = np.arange(1, dist.d + 1) % dist.d
+    shifts = np.abs(marg - marg[:, next_x]).sum(axis=1) / dist.d
     max_shift = float(shifts.max())
     slack = i_n - max_shift
     return ShiftBoundReport(
@@ -210,20 +200,20 @@ class AgreementReport:
     passed: bool
 
 
-def check_agreement_bound(dist, a: int, b: int, tol: float = 1e-9) -> AgreementReport:
+def check_agreement_bound(
+    dist: JointDistribution, a: int, b: int, tol: float = 1e-9
+) -> AgreementReport:
     """Check ``P(X_A = Y_B) <= 1 - Delta(P_{X_A}, P_{Y_B})`` at one pair.
 
     ``a`` and ``b`` are 1-based setting indices; anything but an integer
     (a bool, a float) is refused.
     """
-    probs = _as_probs(dist)
-    n = probs.shape[0]
     for name, index in (("a", a), ("b", b)):
         if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
             raise ValueError(f"setting index {name}={index!r} is not an integer")
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"setting indices ({a}, {b}) out of range 1..{n}")
-    block = probs[a - 1, b - 1]
+    if not (1 <= a <= dist.n and 1 <= b <= dist.n):
+        raise ValueError(f"setting indices ({a}, {b}) out of range 1..{dist.n}")
+    block = dist.probs[a - 1, b - 1]
     p_equal = float(block.trace())
     delta = statistical_distance(block.sum(axis=1), block.sum(axis=0))
     slack = 1.0 - delta - p_equal

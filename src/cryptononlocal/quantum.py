@@ -55,25 +55,40 @@ _BORN_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ChainedSettings:
-    """Measurement phases for the chained scenario.
+    """Measurement phases ``alpha[A-1]``, ``beta[B-1]`` of N = ``n`` settings.
 
-    ``alpha[A-1] = (A - 1/2)/N`` for Alice, ``beta[B-1] = B/N`` for Bob.
-    """
+    Construction refuses phases that are not real, finite, 1-D, non-empty and
+    of one length, and stores them mod d, their period, where the Born-rule
+    tensor keeps its accuracy."""
 
     d: int
-    n: int
     alpha: np.ndarray
     beta: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        for name in ("alpha", "beta"):
+            phases = _as_float_array(getattr(self, name), name)
+            if phases.ndim != 1 or phases.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-D array, got {phases.shape}")
+            if not np.isfinite(phases).all():
+                raise ValueError(f"{name} has a non-finite phase")
+            object.__setattr__(self, name, np.mod(phases, self.d))
+        if self.alpha.shape != self.beta.shape:
+            raise ValueError(f"alpha and beta differ in length: {self.n} != {self.beta.size}")
+
+    @property
+    def n(self) -> int:
+        return self.alpha.shape[0]
 
 
 def chained_settings(d: int, n: int) -> ChainedSettings:
     """Standard chained phases for n settings per side in dimension d."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
     idx = np.arange(1, n + 1, dtype=float)
-    return ChainedSettings(d=d, n=n, alpha=(idx - 0.5) / n, beta=idx / n)
+    return ChainedSettings(d, (idx - 0.5) / n, idx / n)
 
 
 def cglmp_bases(settings: ChainedSettings) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +98,7 @@ def cglmp_bases(settings: ChainedSettings) -> tuple[np.ndarray, np.ndarray]:
     ``alice[A-1, X, j] = exp(2 pi i j (X - alpha_A) / d) / sqrt(d)`` and
     Bob's phases carry the opposite sign.  Every basis is orthonormal.
     """
-    d, n = settings.d, settings.n
+    d = settings.d
     j = np.arange(d)
     x = np.arange(d)
     ph_a = np.einsum("j,ax->axj", j, x[None, :] - settings.alpha[:, None])
@@ -135,18 +150,6 @@ def _as_float_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{not_real}: {exc}") from exc
 
 
-def _as_probs(dist) -> np.ndarray:
-    """The ``(n, n, d, d)`` tensor of a JointDistribution or of a bare array."""
-    if isinstance(dist, JointDistribution):
-        probs = dist.probs
-    else:
-        probs = _as_float_array(dist, "probs")
-    shape = probs.shape
-    if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
-        raise ValueError(f"expected shape (n, n, d, d), got {shape}")
-    return probs
-
-
 def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
     """Largest spread of Alice's marginals over Bob's settings, and vice versa."""
     # einsum runs these short d-axis reductions in one pass, about twice as
@@ -166,32 +169,34 @@ def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
 class JointDistribution:
     """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``.
 
-    ``probs`` may be any array-like of real numbers; it is converted once,
-    on construction, to a float array.  Input that is ragged, holds strings,
-    booleans or complex entries with a nonzero imaginary part, is not
-    numeric or is past the float range (an integer above 2**1024) raises
-    `ValueError`.
+    The one form every tensor reader takes.  ``probs`` is converted once, on
+    construction, to a float array of shape (n, n, d, d); any other shape, or
+    input that is not a rectangular array of real numbers, raises `ValueError`.
     """
 
-    d: int
-    n: int
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _as_float_array(self.probs, "probs"))
+        shape = self.probs.shape
+        if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
+            raise ValueError(f"probs must have shape (n, n, d, d), got {shape}")
+
+    @property
+    def n(self) -> int:
+        return self.probs.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.probs.shape[2]
 
     def validate(self, tol: float = PROB_TOL, no_signaling: bool = False) -> None:
-        """Check shape, finiteness, sign (entries >= -tol) and normalization.
+        """Check finiteness, sign (entries >= -tol) and normalization.
 
         With ``no_signaling`` also require each party's marginals to vary by
         at most ``tol`` across the other party's settings.
         """
         p = self.probs
-        expected = (self.n, self.n, self.d, self.d)
-        if p.shape != expected:
-            raise ValueError(
-                f"probs shape {p.shape} does not match (n, n, d, d) = {expected}"
-            )
         # NaN compares False, so the sign and sum checks would pass it.  The
         # sums of finite entries can overflow too, so np.isfinite decides
         # which defect a non-finite deviation names.
@@ -242,7 +247,7 @@ def joint_from_bases(
         block = np.abs(half[a * d : (a + rows) * d] @ bob_t)
         block *= block
         probs[a : a + rows] = block.reshape(-1, d, n, d).transpose(0, 2, 1, 3)
-    dist = JointDistribution(d=d, n=n, probs=probs)
+    dist = JointDistribution(probs)
     dist.validate(no_signaling=True)
     return dist
 
@@ -254,21 +259,27 @@ def joint_distribution(state: np.ndarray, settings: ChainedSettings) -> JointDis
 
 
 def _difference_probs(d: int, f: np.ndarray) -> np.ndarray:
-    """Closed-form P((Y-X) mod d = m) for phase gaps ``f``; shape f.shape + (d,)."""
-    f = np.asarray(f, dtype=float)
+    """Closed-form P((Y-X) mod d = m) for float phase gaps ``f``; shape f.shape + (d,)."""
     theta = f[..., None] + np.arange(d)
-    small = theta / d - np.round(theta / d)
-    den = np.sin(np.pi * theta / d) ** 2
-    num = np.sin(np.pi * theta) ** 2
-    safe = np.abs(small) > 1e-12
+    x = theta / d
+    turns = np.round(x)
+    small = np.abs(x - turns)
+    # near a nonzero multiple of d both sines lose their relative accuracy, so
+    # take them at the offset from it, exact by Sterbenz: the period is d
+    theta -= d * turns * (small < 0.25 / d)
+    pi_theta = np.pi * theta
+    den = np.sin(pi_theta / d) ** 2
+    num = np.sin(pi_theta) ** 2
+    safe = small > 1e-12
     out = np.empty_like(den)
     out[safe] = num[safe] / (d * d * den[safe])
     out[~safe] = 1.0  # theta = 0 (mod d): the class soaks up all the weight
     return out
 
 
-def closed_form_probs(settings: ChainedSettings) -> np.ndarray:
-    """Analytic joint tensor, equal to the Born-rule path entrywise.
+def closed_form_probs(settings: ChainedSettings) -> JointDistribution:
+    """Analytic joint distribution, equal to the Born-rule path entrywise
+    (to ~1e-15 at any finite phases; tests check 1e-12 up to |phase| = 1e9).
 
     Entry (A, B, X, Y) is ``sin^2(pi theta) / (d^3 sin^2(pi theta / d))``
     with ``theta = Y - X + alpha_A - beta_B``, taking the limit 1/d at
@@ -276,32 +287,25 @@ def closed_form_probs(settings: ChainedSettings) -> np.ndarray:
     phase gap ``alpha_A - beta_B`` (1296 of them for the standard settings
     at N = 200, against 40 000 setting pairs) and whole d x d blocks are
     gathered from there, so every entry is the one an entrywise evaluation
-    gives, bit for bit.
+    gives, bit for bit.  Being a distribution by construction, it is not validated.
     """
     d, n = settings.d, settings.n
-    alpha = np.asarray(settings.alpha, dtype=float)
-    beta = np.asarray(settings.beta, dtype=float)
-    for name, phases in (("alpha", alpha), ("beta", beta)):
-        if phases.shape != (n,):
-            raise ValueError(f"{name} must have shape (n,) = ({n},), got {phases.shape}")
-        if not np.isfinite(phases).all():
-            raise ValueError(f"{name} has a non-finite phase")
-    gaps, where = np.unique(np.subtract.outer(alpha, beta), return_inverse=True)
+    gaps, where = np.unique(
+        np.subtract.outer(settings.alpha, settings.beta), return_inverse=True
+    )
     m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # m[X, Y] = (Y-X) mod d
     blocks = _difference_probs(d, gaps)[:, m] / d  # (gap, X, Y)
     # numpy 2.0 returns the inverse in the input's shape, 1.x flat
-    return blocks[where.reshape(n, n)]
+    return JointDistribution(blocks[where.reshape(n, n)])
 
 
-def chained_value(dist) -> float:
-    """The chained quantity I_N of a joint distribution tensor.
+def chained_value(dist: JointDistribution) -> float:
+    """The chained quantity I_N of a joint distribution.
 
-    Accepts a JointDistribution or a bare (N, N, d, d) array.  The wrap
-    pairs setting A=1 with B=N and shifts Alice's outcome by one.
+    The wrap pairs setting A=1 with B=N and shifts Alice's outcome by one.
     """
-    probs = _as_probs(dist)
-    n, d = probs.shape[0], probs.shape[2]
-    w_xy, w_yx, w_wrap = _chain_weights(d)
+    probs, n = dist.probs, dist.n
+    w_xy, w_yx, w_wrap = _chain_weights(dist.d)
     diag = np.einsum("iixy->xy", probs)
     total = float((w_xy * diag).sum())
     if n > 1:
@@ -335,7 +339,7 @@ def cglmp_chained_value(d: int, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     pm = _difference_probs(d, np.array(1.0 / (2 * n)))
-    return float(2 * n * np.sum(np.arange(d) * pm))
+    return float(2 * n * (np.arange(d) * pm).sum())
 
 
 def gamma_factor(d: int) -> float:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from cryptononlocal.leggett import (
     _MC_CHUNK,
     CriticalNotFoundError,
     LocalModel,
+    MeasurementBasisBloch,
     basis_to_bloch,
     escape_report,
     find_critical_n,
@@ -69,6 +71,19 @@ def test_basis_to_bloch_fourier_basis_at_d100():
     mb = basis_to_bloch(fourier)
     assert mb.vectors.shape == (d, d * d - 1)
     mb.validate()
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (3, 9), (2, 2, 3), (1, 0)])
+def test_measurement_basis_bloch_rejects_a_width_other_than_d2_minus_1(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} is not (d >= 2, d**2 - 1)")):
+        MeasurementBasisBloch(np.zeros(shape)).validate()
+
+
+def test_measurement_basis_bloch_reads_d_from_vectors():
+    mb = _cglmp_basis(4)
+    assert mb.d == 4
+    with pytest.raises(AttributeError):
+        mb.d = 3
 
 
 def test_basis_to_bloch_rejects_non_orthonormal():

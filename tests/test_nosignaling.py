@@ -75,8 +75,8 @@ def test_statistical_distance_names_the_defect(p, needle):
 
 
 def test_statistical_distance_overflowing_sum_is_not_normalized():
-    # every entry is finite; only their sum overflows (numpy warns of that)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="P is not normalized"):
+    # every entry is finite; only their sum overflows, and no warning escapes
+    with pytest.raises(ValueError, match="P is not normalized"):
         statistical_distance([1e308, 1e308], [0.5, 0.5])
 
 
@@ -85,7 +85,8 @@ def _product_shifts(pa, n=2):
     pa = np.asarray(pa, dtype=float)
     d = pa.shape[0]
     block = np.outer(pa, np.full(d, 1.0 / d))
-    return verify_shift_bound(np.broadcast_to(block, (n, n, d, d)).copy()).shifts
+    probs = np.broadcast_to(block, (n, n, d, d)).copy()
+    return verify_shift_bound(JointDistribution(probs)).shifts
 
 
 def test_shift_distance_examples():
@@ -107,7 +108,7 @@ def test_check_no_signaling_product_distribution():
     pa = np.array([0.7, 0.3])
     pb = np.array([0.4, 0.6])
     probs = np.broadcast_to(np.outer(pa, pb), (3, 3, 2, 2)).copy()
-    report = check_no_signaling(probs, tol=0.0)
+    report = check_no_signaling(JointDistribution(probs), tol=0.0)
     assert report.residual == 0.0
     assert report.passed
 
@@ -117,7 +118,7 @@ def test_check_no_signaling_detects_built_in_gap():
     probs = np.zeros((2, 2, 2, 2))
     probs[:, 0, 0, 0] = 1.0
     probs[:, 1, 1, 0] = 1.0
-    report = check_no_signaling(probs, tol=1e-12)
+    report = check_no_signaling(JointDistribution(probs), tol=1e-12)
     assert not report.passed
     # Alice's X=0 weight swings from 1 (B=1) to 0 (B=2): the built-in gap
     assert report.alice_residual == pytest.approx(1.0)
@@ -165,7 +166,7 @@ def test_shift_bound_on_perfectly_correlated_box():
     probs = np.zeros((n, n, d, d))
     for x in range(d):
         probs[:, :, x, x] = 1.0 / d
-    report = verify_shift_bound(probs)
+    report = verify_shift_bound(JointDistribution(probs))
     assert report.max_shift == pytest.approx(0.0, abs=1e-15)
     assert report.passed
 
@@ -183,7 +184,7 @@ def test_shift_bound_rejects_signaling_input():
     probs[:, 0, 0, 0] = 1.0
     probs[:, 1, 1, 0] = 1.0
     with pytest.raises(ValueError, match="signals"):
-        verify_shift_bound(probs)
+        verify_shift_bound(JointDistribution(probs))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -191,15 +192,13 @@ def test_shift_bound_rejects_non_finite_entry(bad):
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[0, 1, 1, 0] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
-        verify_shift_bound(probs)
-    with pytest.raises(ValueError, match="non-finite entry"):
-        verify_shift_bound(JointDistribution(d=2, n=2, probs=probs))
+        verify_shift_bound(JointDistribution(probs))
 
 
 def test_shift_bound_rejects_unnormalized_bare_array():
     # uniform in every marginal, so it signals nowhere, but sums to 2
     with pytest.raises(ValueError, match="not normalized"):
-        verify_shift_bound(np.full((2, 2, 2, 2), 0.5))
+        verify_shift_bound(JointDistribution(np.full((2, 2, 2, 2), 0.5)))
 
 
 def test_shift_bound_rejects_negative_entry():
@@ -207,14 +206,14 @@ def test_shift_bound_rejects_negative_entry():
     probs[:, :, 0, 0] += 0.5
     probs[:, :, 1, 1] -= 0.5
     with pytest.raises(ValueError, match="negative"):
-        verify_shift_bound(probs)
+        verify_shift_bound(JointDistribution(probs))
 
 
 def test_agreement_bound_identical_marginals():
     d, n = 2, 2
     probs = np.zeros((n, n, d, d))
     probs[:, :, 1, 1] = 1.0
-    report = check_agreement_bound(probs, 1, 1)
+    report = check_agreement_bound(JointDistribution(probs), 1, 1)
     assert report.p_equal == 1.0
     assert report.distance == 0.0
     assert report.passed
@@ -223,7 +222,7 @@ def test_agreement_bound_identical_marginals():
 def test_agreement_bound_disjoint_supports():
     probs = np.zeros((2, 2, 2, 2))
     probs[:, :, 0, 1] = 1.0  # Alice always 0, Bob always 1
-    report = check_agreement_bound(probs, 1, 2)
+    report = check_agreement_bound(JointDistribution(probs), 1, 2)
     assert report.p_equal == 0.0
     assert report.distance == pytest.approx(1.0)
     assert report.passed
@@ -248,9 +247,9 @@ def test_agreement_bound_random_corpus():
     ],
 )
 def test_agreement_bound_refuses_non_integer_settings(a, b, needle):
-    probs = np.full((2, 2, 2, 2), 0.25)
+    dist = JointDistribution(np.full((2, 2, 2, 2), 0.25))
     with pytest.raises(ValueError, match=f"setting index {needle} is not an integer"):
-        check_agreement_bound(probs, a, b)
+        check_agreement_bound(dist, a, b)
 
 
 def test_agreement_bound_takes_numpy_integer_settings():
@@ -259,7 +258,7 @@ def test_agreement_bound_takes_numpy_integer_settings():
 
 
 # `"1"` and `"0"` parse as numbers, so without the type check this string
-# tensor passes as a valid no-signaling distribution
+# tensor would pass as a valid no-signaling distribution
 _STRING_BOX = np.where(np.arange(4).reshape(1, 1, 2, 2) == 0, "1", "0")
 
 
@@ -271,8 +270,12 @@ _STRING_BOX = np.where(np.arange(4).reshape(1, 1, 2, 2) == 0, "1", "0")
 @pytest.mark.parametrize("form", ["array", "list"])
 def test_tensor_readers_reject_strings(call, form):
     probs = _STRING_BOX if form == "array" else _STRING_BOX.tolist()
-    with pytest.raises(ValueError, match="dtype <U1"):
+    # a reader takes only a JointDistribution, never a bare tensor,
+    with pytest.raises(AttributeError, match="object has no attribute"):
         call(probs)
+    # and the string tensor never becomes one
+    with pytest.raises(ValueError, match="dtype <U1"):
+        JointDistribution(probs)
 
 
 def _dense_random_no_signaling(d, n, mix, rng):
@@ -449,17 +452,17 @@ def test_contradiction_adjacent_settings_matches_dense_search():
 
 def test_conditional_distribution_validate():
     probs = np.full((2, 2, 2, 2), 0.25)
-    JointDistribution(d=2, n=2, probs=probs).validate()
+    JointDistribution(probs).validate()
     with pytest.raises(ValueError, match="normalized"):
-        JointDistribution(d=2, n=2, probs=probs * 0.5).validate()
+        JointDistribution(probs * 0.5).validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_conditional_distribution_validate_rejects_non_finite(bad):
     everywhere = np.full((2, 2, 2, 2), bad)
     with pytest.raises(ValueError, match="non-finite entry"):
-        JointDistribution(d=2, n=2, probs=everywhere).validate()
+        JointDistribution(everywhere).validate()
     one = np.full((2, 2, 2, 2), 0.25)
     one[1, 0, 1, 1] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
-        JointDistribution(d=2, n=2, probs=one).validate()
+        JointDistribution(one).validate()

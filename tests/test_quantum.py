@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -66,26 +67,25 @@ def test_joint_invariants(d, n):
 def test_closed_form_matches_born_rule(d, n):
     s = chained_settings(d, n)
     dist = joint_distribution(maximally_entangled(d), s)
-    assert np.abs(closed_form_probs(s) - dist.probs).max() < 1e-10
+    assert np.abs(closed_form_probs(s).probs - dist.probs).max() < 1e-10
 
 
 def test_equal_phases_correlate_perfectly():
     # engineered settings with alpha = beta force X = Y
     d, n = 4, 3
     phases = np.linspace(0.1, 0.9, n)
-    s = ChainedSettings(d=d, n=n, alpha=phases, beta=phases.copy())
+    s = ChainedSettings(d, phases, phases.copy())
     dist = joint_distribution(maximally_entangled(d), s)
     for a in range(n):
         block = dist.probs[a, a]
         assert np.abs(np.diag(block) - 1.0 / d).max() < 1e-12
         assert block.sum() - np.trace(block) < 1e-12
     # the closed form hits its theta = 0 (mod d) limit here
-    assert np.abs(closed_form_probs(s) - dist.probs).max() < 1e-10
+    assert np.abs(closed_form_probs(s).probs - dist.probs).max() < 1e-10
 
 
 def _uniform_dist(d, n):
-    probs = np.full((n, n, d, d), 1.0 / (d * d))
-    return JointDistribution(d=d, n=n, probs=probs)
+    return JointDistribution(np.full((n, n, d, d), 1.0 / (d * d)))
 
 
 def expected_mod(dist, a, b, sign=1, offset=0):
@@ -113,7 +113,7 @@ def _chain_terms_value(dist):
 def test_expected_mod():
     d, n = 4, 3
     phases = np.linspace(0.1, 0.9, n)
-    s = ChainedSettings(d=d, n=n, alpha=phases, beta=phases.copy())
+    s = ChainedSettings(d, phases, phases.copy())
     corr = joint_distribution(maximally_entangled(d), s)
     assert expected_mod(corr, 1, 1) == pytest.approx(0.0, abs=1e-12)
     assert expected_mod(_uniform_dist(2, 2), 1, 2) == pytest.approx(0.5)
@@ -140,7 +140,7 @@ def test_chained_value_deterministic_wrap():
     # all-zero outcomes at d=2, N=2: only the wrap term contributes
     probs = np.zeros((2, 2, 2, 2))
     probs[:, :, 0, 0] = 1.0
-    assert chained_value(probs) == pytest.approx(1.0, abs=1e-15)
+    assert chained_value(JointDistribution(probs)) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 7), (4, 6), (5, 4)])
@@ -197,21 +197,21 @@ def test_dimension_validation():
 def test_joint_distribution_validate_rejects_non_finite(bad):
     everywhere = np.full((2, 2, 2, 2), bad)
     with pytest.raises(ValueError, match="non-finite entry"):
-        JointDistribution(d=2, n=2, probs=everywhere).validate()
+        JointDistribution(everywhere).validate()
     one = np.full((2, 2, 2, 2), 0.25)
     one[0, 1, 0, 1] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
-        JointDistribution(d=2, n=2, probs=one).validate()
+        JointDistribution(one).validate()
 
 
 def test_joint_distribution_validate_names_overflowing_sums_unnormalized():
     # every entry is finite; only the sums over a setting pair overflow
     huge = np.full((2, 2, 2, 2), 1e308)
     with pytest.raises(ValueError, match="setting pair not normalized"):
-        JointDistribution(d=2, n=2, probs=huge).validate()
+        JointDistribution(huge).validate()
     huge[0, 0, 0, 0] = -np.inf
     with pytest.raises(ValueError, match="non-finite entry"):
-        JointDistribution(d=2, n=2, probs=huge).validate()
+        JointDistribution(huge).validate()
 
 
 def _closed_form_oracle(settings):
@@ -236,7 +236,7 @@ def _born_oracle(state, alice, bob):
 )
 def test_closed_form_probs_equals_entrywise_oracle(d, n):
     s = chained_settings(d, n)
-    assert np.array_equal(closed_form_probs(s), _closed_form_oracle(s))
+    assert np.array_equal(closed_form_probs(s).probs, _closed_form_oracle(s))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -246,10 +246,8 @@ def test_closed_form_probs_on_repeated_and_integer_gaps(d):
     rng = substream(61, d)
     pool = np.array([0.0, 0.25, 0.5, 1.0, 2.0, -1.0, d - 1.0, 0.1])
     for n in (3, 6, 11):
-        s = ChainedSettings(
-            d=d, n=n, alpha=rng.choice(pool, size=n), beta=rng.choice(pool, size=n)
-        )
-        probs = closed_form_probs(s)
+        s = ChainedSettings(d, rng.choice(pool, size=n), rng.choice(pool, size=n))
+        probs = closed_form_probs(s).probs
         assert np.array_equal(probs, _closed_form_oracle(s))
         born = joint_distribution(maximally_entangled(d), s).probs
         assert np.abs(probs - born).max() < 1e-10
@@ -326,17 +324,31 @@ def test_joint_from_bases_names_the_basis_shape(shape):
     [
         ("alpha", [np.nan, 0.2], "alpha has a non-finite phase"),
         ("beta", [0.5, np.inf], "beta has a non-finite phase"),
-        ("alpha", [0.1, 0.2, 0.3], r"alpha must have shape \(n,\) = \(2,\)"),
-        ("beta", [0.5], r"beta must have shape \(n,\) = \(2,\)"),
-        ("beta", [[0.5, 1.0]], r"beta must have shape \(n,\) = \(2,\)"),
+        ("alpha", [0.1, 0.2, 0.3], "alpha and beta differ in length: 3 != 2"),
+        ("beta", [0.5], "alpha and beta differ in length: 2 != 1"),
+        ("beta", [[0.5, 1.0]], r"beta must be a non-empty 1-D array, got \(1, 2\)"),
+        ("alpha", [], r"alpha must be a non-empty 1-D array, got \(0,\)"),
     ],
-    ids=["nan-alpha", "inf-beta", "long-alpha", "short-beta", "2d-beta"],
+    ids=["nan-alpha", "inf-beta", "long-alpha", "short-beta", "2d-beta", "empty-alpha"],
 )
 def test_closed_form_probs_rejects_bad_phases(field, value, match):
+    # the phases are checked once, when the settings are built, so no bad
+    # phase reaches closed_form_probs or cglmp_bases
     phases = {"alpha": np.array([0.25, 0.75]), "beta": np.array([0.5, 1.0])}
     phases[field] = np.array(value)
     with pytest.raises(ValueError, match=match):
-        closed_form_probs(ChainedSettings(d=3, n=2, **phases))
+        ChainedSettings(3, **phases)
+
+
+def test_chained_settings_reads_n_and_reduces_phases_mod_d():
+    s = ChainedSettings(3, [0.5, 3.5, -2.5], [1e9, 0.25, 6.0])
+    assert s.n == 3
+    assert np.array_equal(s.alpha, [0.5, 0.5, 0.5])
+    assert np.array_equal(s.beta, [1.0, 0.25, 0.0])
+    with pytest.raises(AttributeError):
+        s.n = 4
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        ChainedSettings(1, [0.5], [0.5])
 
 
 def _signaling_box(d, n, eps):
@@ -351,15 +363,15 @@ def _signaling_box(d, n, eps):
 def test_validate_no_signaling_residual_matches_report(d, n):
     eps = 0.0123
     probs = _signaling_box(d, n, eps)
-    report = check_no_signaling(probs)
+    report = check_no_signaling(JointDistribution(probs))
     assert report.alice_residual == pytest.approx(eps, rel=1e-12)
     assert report.bob_residual == 0.0
     with pytest.raises(ValueError, match="distribution signals") as err:
-        JointDistribution(d=d, n=n, probs=probs).validate(no_signaling=True)
+        JointDistribution(probs).validate(no_signaling=True)
     assert f"residual {report.residual:.3g} >" in str(err.value)
     # below the tolerance the same box passes, and without the flag it is not checked
-    JointDistribution(d=d, n=n, probs=probs).validate(tol=0.02, no_signaling=True)
-    JointDistribution(d=d, n=n, probs=probs).validate()
+    JointDistribution(probs).validate(tol=0.02, no_signaling=True)
+    JointDistribution(probs).validate()
     # a quantum box is no-signaling to rounding, by both entry points
     dist = joint_distribution(maximally_entangled(d), chained_settings(d, n))
     assert check_no_signaling(dist).residual <= 1e-14
@@ -389,15 +401,29 @@ def test_validate_rejects_defective_tensors(defect, match):
         probs[2, 1, :, 0] += 0.05
         probs[2, 1, :, 1] -= 0.05
     with pytest.raises(ValueError, match=match):
-        JointDistribution(d=d, n=n, probs=probs).validate(no_signaling=True)
+        JointDistribution(probs).validate(no_signaling=True)
 
 
 def test_joint_distribution_converts_nested_lists_once():
-    dist = JointDistribution(d=2, n=1, probs=[[[[0.25, 0.25], [0.25, 0.25]]]])
+    dist = JointDistribution([[[[0.25, 0.25], [0.25, 0.25]]]])
     assert isinstance(dist.probs, np.ndarray) and dist.probs.dtype == float
     dist.validate(no_signaling=True)
-    with pytest.raises(ValueError, match="does not match"):
-        JointDistribution(d=2, n=2, probs=[[[[0.25, 0.25], [0.25, 0.25]]]]).validate()
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3)], ids=["3d", "settings", "outcomes"]
+)
+def test_joint_distribution_rejects_a_shape_other_than_n_n_d_d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"(n, n, d, d), got {shape}")):
+        JointDistribution(np.full(shape, 0.25))
+
+
+def test_joint_distribution_reads_d_and_n_from_probs():
+    dist = JointDistribution(np.full((3, 3, 2, 2), 0.25))
+    assert (dist.d, dist.n) == (2, 3)
+    for name in ("d", "n"):
+        with pytest.raises(AttributeError):
+            setattr(dist, name, 4)
 
 
 @pytest.mark.parametrize(
@@ -433,17 +459,17 @@ def test_joint_distribution_converts_nested_lists_once():
 )
 def test_joint_distribution_rejects_non_array_probs(probs, needle):
     with pytest.raises(ValueError, match="not a rectangular array of numbers") as info:
-        JointDistribution(d=2, n=1, probs=probs)
+        JointDistribution(probs)
     assert needle in str(info.value)
 
 
 def test_joint_distribution_takes_the_real_part_of_real_complex_probs():
     # an imaginary part of zero is dropped without numpy's ComplexWarning
-    dist = JointDistribution(d=2, n=1, probs=np.full((1, 1, 2, 2), 0.25 + 0j))
+    dist = JointDistribution(np.full((1, 1, 2, 2), 0.25 + 0j))
     assert dist.probs.dtype == float
     assert np.array_equal(dist.probs, np.full((1, 1, 2, 2), 0.25))
 
 
 def test_joint_distribution_keeps_a_float_array():
     probs = np.full((1, 1, 2, 2), 0.25)
-    assert JointDistribution(d=2, n=1, probs=probs).probs is probs
+    assert JointDistribution(probs).probs is probs
