@@ -32,7 +32,7 @@ print(f"uniform-sphere bound floor      = {floor:.6f}  (= 2(d-1)/d^3)")
 print(f"exact isotropic average L       = {analytic:.6f}")
 
 alice, _ = cglmp_bases(chained_settings(D, 1))
-mc = leggett_bound_mc(basis_to_bloch(alice[0]), LocalModel(d=D), 200_000, rng=42)
+mc = leggett_bound_mc(basis_to_bloch(alice[0]), LocalModel(d=D), 200_000, seed=42)
 print(f"Monte Carlo check of L          = {mc.value:.6f} ± {mc.std_error:.6f}")
 print()
 

@@ -82,18 +82,18 @@ def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     return coords * math.sqrt(d / (2.0 * (d - 1)))
 
 
-def bloch_to_density(u: np.ndarray, d: int | None = None) -> np.ndarray:
+def bloch_to_density(u: np.ndarray) -> np.ndarray:
     """Reconstruct density matrices ``I/d + sqrt((d-1)/(2d)) sum_i u_i L_i``.
 
-    ``u`` has shape (..., d**2 - 1), the result (..., d, d); ``d`` is
-    inferred from the coordinate length when omitted.
+    ``u`` has shape (..., d**2 - 1), the result (..., d, d); ``d`` is read
+    from the coordinate length, and a length that is not d**2 - 1 for any
+    d >= 2 raises `ValueError`.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     n = u.shape[-1]
-    if d is None:
-        d = int(round(math.sqrt(n + 1)))
-    if d * d - 1 != n:
-        raise ValueError(f"coordinate length {n} does not match d={d}")
+    d = math.isqrt(n + 1)
+    if d < 2 or d * d - 1 != n:
+        raise ValueError(f"coordinate length {n} is not d**2 - 1 for any d >= 2")
     k, j = np.tril_indices(d, -1)
     m = len(k)
     sym, anti = u[..., :m], u[..., m : 2 * m]

@@ -25,7 +25,6 @@ from .bloch import substream
 from .leggett import (
     CriticalNotFoundError,
     LocalModel,
-    _critical_search,
     basis_to_bloch,
     find_critical_n,
     leggett_bound_analytic,
@@ -226,13 +225,13 @@ def _sweep_rows(fig: int, d_range, etas, n_range) -> list[dict]:
                         )
                     )
             else:
-                n_crit, i_n = _critical_search(d, eta, n_hi)
+                n_crit = find_critical_n(d, eta, n_hi)
                 rows.append(
                     dict(
                         d=d,
                         N=n_crit,
                         eta=eta,
-                        i_n=i_n,
+                        i_n=cglmp_chained_value(d, n_crit),
                         bound=bound,
                         l_analytic=l_analytic,
                         violated=True,

@@ -63,7 +63,7 @@ __all__ = [
     "escape_report",
 ]
 
-U_MODES = ("sphere-uniform", "haar-pure", "fixed")
+U_MODES = ("sphere-uniform", "haar-pure")
 
 _MC_CHUNK = 1 << 16
 # Multiply-adds per block product.  OpenBLAS runs a gemm of at most 2**18 of
@@ -74,7 +74,7 @@ _MC_BLOCK = 1 << 18
 _SPAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasisBloch:
     """Bloch vectors of one projective measurement, one row per outcome."""
 
@@ -122,15 +122,14 @@ class LocalModel:
     """Crypto-nonlocal model parameters.
 
     ``u_mode`` selects the hidden-state distribution on Alice's side:
-    "sphere-uniform" (all of S^{d^2-2}, including non-physical points),
-    "haar-pure" (Bloch vectors of Haar-random pure states) or "fixed"
-    (a single direction, supplied in ``fixed_u``).
+    "sphere-uniform" (all of S^{d^2-2}, including non-physical points) or
+    "haar-pure" (Bloch vectors of Haar-random pure states).  The bound at
+    one pinned direction needs no model: see `marginal_distribution`.
     """
 
     d: int
     eta: float = 1.0
     u_mode: str = "sphere-uniform"
-    fixed_u: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -139,14 +138,6 @@ class LocalModel:
             raise ValueError("eta must lie in (0, 1]")
         if self.u_mode not in U_MODES:
             raise ValueError(f"unknown u_mode {self.u_mode!r}")
-        if self.u_mode == "fixed":
-            if self.fixed_u is None:
-                raise ValueError("fixed u_mode requires fixed_u")
-            vec = np.asarray(self.fixed_u, dtype=float)
-            if vec.shape != (self.d * self.d - 1,):
-                raise ValueError("fixed_u has wrong length")
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                raise ValueError("fixed_u must be unit norm")
 
 
 @dataclass(frozen=True)
@@ -166,6 +157,11 @@ def marginal_distribution(
     The flag is False when any outcome would receive a negative value at
     this ``u`` (possible for non-physical sphere points); values are
     reported unclamped either way.
+
+    Consecutive marginals differ by ``p_x - p_{x-1} = eta (d-1)/d
+    (a^x - a^{x-1}) . u``, so at a physical ``u`` the model bound L of that
+    one direction is the shift distance
+    ``statistical_distance(p, np.roll(p, 1))`` of ``p``.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -202,22 +198,22 @@ def leggett_bound_mc(
     basis: MeasurementBasisBloch,
     model: LocalModel,
     n_samples: int,
-    rng: np.random.Generator | int,
+    seed: int,
 ) -> BoundEstimate:
     """Monte Carlo estimate of the model bound L for one measurement basis.
 
-    Samples come in chunks of 65536.  ``rng`` may be a Generator, shared by
-    all chunks and so drawn sequentially in one thread, or an integer seed,
-    in which case chunk i reads the counter-based stream (seed, i) and the
-    chunks run on a thread pool with one worker per CPU in the affinity
-    mask, at most one per chunk (a single chunk runs in the calling
-    thread).  The random draws release the interpreter lock, so the workers
-    run in parallel.  Each chunk returns its sum and its sum of squared
-    deviations from its own mean; these are kept in chunk order and
-    combined with `math.fsum`, so neither the thread count nor the
-    reduction order can move the estimate, and the standard error does not
-    rest on a difference of two large sums of squares.  A fixed-u model
-    returns the exact value with zero error.
+    Samples come in chunks of 65536.  ``seed`` is an integer (anything else,
+    a Generator included, raises `TypeError`): chunk i reads the
+    counter-based stream (seed, i), so the estimate depends only on the
+    seed and the sample count.  The chunks run on a thread pool with one
+    worker per CPU in the affinity mask, at most one per chunk (a single
+    chunk runs in the calling thread).  The random draws release the
+    interpreter lock, so the workers run in parallel.  Each chunk returns
+    its sum and its sum of squared deviations from its own mean; these are
+    kept in chunk order and combined with `math.fsum`, so neither the
+    thread count nor the reduction order can move the estimate, and the
+    standard error does not rest on a difference of two large sums of
+    squares.
 
     Both modes work a chunk in blocks of ``max(64, 2**18 // c)`` rows,
     where c is the multiply-add count of one row's projection:
@@ -264,19 +260,15 @@ def leggett_bound_mc(
     d = basis.d
     coef = model.eta * (d - 1) / d**2
     diffs = _difference_matrix(basis)
-
-    if model.u_mode == "fixed":
-        value = coef * float(np.abs(diffs @ model.fixed_u).sum())
-        return BoundEstimate(value=value, std_error=0.0, samples=0)
-
-    # integer counts only: a float such as 70000.5 raises TypeError
+    # integers only: a float such as 70000.5 or a Generator raises TypeError
     n_samples = operator.index(n_samples)
+    seed = operator.index(seed)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n_dim = d * d - 1
     haar = model.u_mode == "haar-pure"
     if haar:
-        rho = bloch_to_density(basis.vectors, d)
+        rho = bloch_to_density(basis.vectors)
         steps = d / (d - 1) * (rho - np.roll(rho, 1, axis=0))
         # column x d + r is row r of H_x, so psi @ stacked holds every H_x psi
         stacked = steps.reshape(d * d, d).T
@@ -286,7 +278,6 @@ def leggett_bound_mc(
         # coordinates per product, so that each stays within _MC_BLOCK
         # multiply-adds: all of them unless the floor binds
         span = max(1, _MC_BLOCK // (rows * d))
-    seeded = isinstance(rng, (int, np.integer))
 
     def block_values(gen, states, lo: int, k: int) -> np.ndarray:
         # a function, so that a block's arrays are freed before the next draw
@@ -303,7 +294,7 @@ def leggett_bound_mc(
 
     def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
-        gen = substream(int(rng), i) if seeded else rng
+        gen = substream(seed, i)
         states = sample_haar_pure(d, gen, size=m) if haar else None
         vals = np.empty(m)
         for lo in range(0, m, rows):
@@ -316,7 +307,7 @@ def leggett_bound_mc(
         return m, total, float(np.einsum("i,i->", vals, vals))
 
     n_chunks = -(-n_samples // _MC_CHUNK)
-    workers = _mc_workers(n_chunks) if seeded else 1
+    workers = _mc_workers(n_chunks)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -396,11 +387,6 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
     near N = 5e6 at d = 100, 1e7 at d = 24 and 3e7 at d = 5.  A crossing
     in that range is not guaranteed to be the first one.
     """
-    return _critical_search(d, eta, n_max)[0]
-
-
-def _critical_search(d: int, eta: float, n_max: int) -> tuple[int, float]:
-    """`find_critical_n` and its I_N, the value the bisection last accepted."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     # integer limits only: a float such as 100.5 raises TypeError
@@ -413,23 +399,22 @@ def _critical_search(d: int, eta: float, n_max: int) -> tuple[int, float]:
             f"gap I_N - bound = {value - bound:.6g}",
             gap=value - bound,
         )
-    # invariant: I_lo >= bound (I_0 taken as +inf) and I_hi = value < bound
+    # invariant: I_lo >= bound (I_0 taken as +inf) and I_hi < bound
     lo, hi = 0, n_max
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        i_mid = cglmp_chained_value(d, mid)
-        if i_mid < bound:
-            hi, value = mid, i_mid
+        if cglmp_chained_value(d, mid) < bound:
+            hi = mid
         else:
             lo = mid
-    return hi, value
+    return hi
 
 
 class ConstructionError(RuntimeError):
     """Orthogonal measurement-family construction failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """One chained measurement set plus its Bloch-space footprint.
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import substream
 from .leggett import basis_to_bloch
 from .quantum import (
     JointDistribution,
@@ -92,7 +91,6 @@ class NoSignalingReport:
     alice_residual: float
     bob_residual: float
     residual: float
-    tol: float
     passed: bool
 
 
@@ -104,20 +102,20 @@ def check_no_signaling(dist: JointDistribution, tol: float = 1e-12) -> NoSignali
         alice_residual=res_a,
         bob_residual=res_b,
         residual=residual,
-        tol=tol,
         passed=residual <= tol,
     )
 
 
 def random_no_signaling(
-    d: int, n: int, mix: float, rng: np.random.Generator | int
+    d: int, n: int, mix: float, rng: np.random.Generator
 ) -> JointDistribution:
     """Random no-signaling distribution built from provably safe blocks.
 
     A convex mixture of (i) local deterministic strategies and (ii)
     modulo-correlated boxes Y = X + f(A, B) with X uniform, weighted
     (1 - mix) : mix.  Both blocks are no-signaling by construction, so no
-    projection or clipping is ever needed.
+    projection or clipping is ever needed.  Every draw comes from the
+    Generator ``rng``; ``substream(seed, 0)`` gives one keyed to a seed.
 
     Each term is added to a flat buffer of n^2 d^2 entries by one scatter
     into the cells it weighs: one per setting pair for a strategy, one per
@@ -132,24 +130,23 @@ def random_no_signaling(
         raise ValueError("n must be >= 1")
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
-    gen = substream(int(rng), 0) if isinstance(rng, (int, np.integer)) else rng
     flat = np.zeros(n * n * d * d)
     # entry (A, B, X, Y) sits at flat index (A n + B) d^2 + X d + Y
     pair = np.arange(0, flat.size, d * d).reshape(n, n)
 
-    n_local = int(gen.integers(1, 6))
-    w = gen.dirichlet(np.ones(n_local))
+    n_local = int(rng.integers(1, 6))
+    w = rng.dirichlet(np.ones(n_local))
     for i in range(n_local):
-        a = gen.integers(0, d, size=n)
-        b = gen.integers(0, d, size=n)
+        a = rng.integers(0, d, size=n)
+        b = rng.integers(0, d, size=n)
         flat[pair + (a * d)[:, None] + b] += (1.0 - mix) * w[i]
 
-    n_box = int(gen.integers(1, 6))
-    v = gen.dirichlet(np.ones(n_box))
+    n_box = int(rng.integers(1, 6))
+    v = rng.dirichlet(np.ones(n_box))
     x = np.arange(d)
     cells = x * d + (x + x[:, None]) % d  # cells[f, X] = X d + (X + f) mod d
     for i in range(n_box):
-        f = gen.integers(0, d, size=(n, n))
+        f = rng.integers(0, d, size=(n, n))
         flat[pair[:, :, None] + cells[f]] += mix * v[i] / d
 
     dist = JointDistribution(flat.reshape(n, n, d, d))
@@ -157,7 +154,7 @@ def random_no_signaling(
     return dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftBoundReport:
     chained: float
     shifts: np.ndarray  # per-setting Alice shift distances
@@ -208,11 +205,8 @@ def check_agreement_bound(
     ``a`` and ``b`` are 1-based setting indices; anything but an integer
     (a bool, a float) is refused.
     """
-    for name, index in (("a", a), ("b", b)):
-        if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
-            raise ValueError(f"setting index {name}={index!r} is not an integer")
-    if not (1 <= a <= dist.n and 1 <= b <= dist.n):
-        raise ValueError(f"setting indices ({a}, {b}) out of range 1..{dist.n}")
+    _check_index("setting", "a", a, 1, dist.n)
+    _check_index("setting", "b", b, 1, dist.n)
     block = dist.probs[a - 1, b - 1]
     p_equal = float(block.trace())
     delta = statistical_distance(block.sum(axis=1), block.sum(axis=0))
@@ -220,6 +214,14 @@ def check_agreement_bound(
     return AgreementReport(
         p_equal=p_equal, distance=delta, slack=slack, passed=slack >= -tol
     )
+
+
+def _check_index(kind: str, name: str, index, lo: int, hi: int) -> None:
+    """Refuse an index that is not an integer (a bool, a float) or not in lo..hi."""
+    if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"{kind} index {name}={index!r} is not an integer")
+    if not lo <= index <= hi:
+        raise ValueError(f"{kind} index {name}={index} out of range {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -232,10 +234,12 @@ class DeterministicStrategy:
 
 def strategy_chained_value(d: int, alice, bob) -> int:
     """I_N of a deterministic strategy; always an integer."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
     a = np.asarray(alice, dtype=int)
     b = np.asarray(bob, dtype=int)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("alice and bob must be equal-length outcome sequences")
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError("alice and bob must be non-empty equal-length outcome sequences")
     a_next = np.roll(a, -1)
     a_next[-1] = a[0] + 1
     return int(np.sum((a - b) % d) + np.sum((b - a_next) % d))
@@ -263,7 +267,7 @@ def lhv_min_chained(d: int, n: int) -> tuple[int, DeterministicStrategy]:
     return d - 1, DeterministicStrategy(alice=zeros, bob=zeros)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContradictionReport:
     """Infeasibility certificate for perfect predictions at two settings.
 
@@ -290,10 +294,14 @@ def deterministic_contradiction(
     to the measurement Bloch vector.  For distinct vectors the best any
     unit u can do is ``max_u min(a1.u, a2.u) = (1 + a1.a2)/|a1 + a2| < 1``,
     attained at the normalized bisector.  Equal vectors yield no
-    certificate; antipodal vectors give max 0 (gap 1).
+    certificate; antipodal vectors give max 0 (gap 1).  The outcomes
+    ``x1`` and ``x2`` are integers in 0..d-1; anything else is refused.
     """
-    a = basis_to_bloch(np.asarray(basis1)).vectors[x1]
-    b = basis_to_bloch(np.asarray(basis2)).vectors[x2]
+    vectors1 = basis_to_bloch(np.asarray(basis1)).vectors
+    vectors2 = basis_to_bloch(np.asarray(basis2)).vectors
+    _check_index("outcome", "x1", x1, 0, vectors1.shape[0] - 1)
+    _check_index("outcome", "x2", x2, 0, vectors2.shape[0] - 1)
+    a, b = vectors1[x1], vectors2[x2]
     if np.linalg.norm(a - b) <= 1e-10:
         return ContradictionReport(
             vector_a=a,

@@ -135,24 +135,21 @@ def test_sweep_critical_table_monotone(capsys):
         assert all(r["violated"] for r in rows)
 
 
-def test_sweep_critical_rows_take_i_n_from_the_search(capsys, monkeypatch):
-    # the bisection has already evaluated I at N_crit; fig 3 evaluates no more
-    from cryptononlocal.quantum import cglmp_chained_value
+def test_sweep_critical_rows_take_i_n_from_the_search(monkeypatch):
+    # the i_n column is the I_N the bisection accepted at N_crit, bit for bit
+    from cryptononlocal import leggett, quantum
 
-    def no_second_call(d, n):
-        raise AssertionError(f"I_{n} evaluated again at d={d}")
+    seen = {}
 
-    monkeypatch.setattr(cli, "cglmp_chained_value", no_second_call)
-    code, out, _ = run_cli(
-        capsys, "sweep", "--fig", "3", "--d-range", "2..6", "--format", "json"
-    )
-    assert code == 0
-    rows = json.loads(out)
+    def recording(d, n):
+        seen[d, n] = value = quantum.cglmp_chained_value(d, n)
+        return value
+
+    monkeypatch.setattr(leggett, "cglmp_chained_value", recording)
+    rows = cli._sweep_rows(3, (2, 6), [0.5, 0.7, 0.9, 1.0], (2, 1000))
     assert len(rows) == 5 * 4
     for r in rows:
-        value = cglmp_chained_value(r["d"], r["N"])
-        assert value < r["bound"]
-        assert r["i_n"] == pytest.approx(value, rel=0, abs=5e-13)  # 12 decimals
+        assert r["i_n"] == seen[r["d"], r["N"]] < r["bound"]
 
 
 def test_sweep_empty_range_rejected(capsys):

@@ -31,6 +31,7 @@ from cryptononlocal.leggett import (
     marginal_distribution,
     multi_plane_families,
 )
+from cryptononlocal.nosignaling import statistical_distance
 from cryptononlocal.quantum import (
     cglmp_bases,
     cglmp_chained_value,
@@ -162,7 +163,7 @@ def test_mc_bound_haar_mode_runs():
     assert est.value > 0
 
 
-def _haar_mc_oracle(basis, eta, n_samples, rng):
+def _haar_mc_oracle(basis, eta, n_samples, seed):
     # per-sample Bloch map, drawing the same chunks as leggett_bound_mc
     d = basis.d
     diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
@@ -170,8 +171,7 @@ def _haar_mc_oracle(basis, eta, n_samples, rng):
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        gen = substream(rng, len(chunks)) if isinstance(rng, int) else rng
-        states = sample_haar_pure(d, gen, size=m)
+        states = sample_haar_pure(d, substream(seed, len(chunks)), size=m)
         u = np.stack([state_to_bloch(s) for s in states])
         chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
         done += m
@@ -180,7 +180,7 @@ def _haar_mc_oracle(basis, eta, n_samples, rng):
 
 
 @pytest.mark.parametrize(
-    "d,eta,n_samples,rng",
+    "d,eta,n_samples,seed",
     [
         (2, 1.0, 3000, 11),
         (3, 0.7, 3000, 12),
@@ -188,28 +188,24 @@ def _haar_mc_oracle(basis, eta, n_samples, rng):
         (5, 0.5, 3000, 14),
         (6, 1.0, 3000, 15),
         (3, 1.0, _MC_CHUNK + 4000, 16),
-        (4, 0.9, 5000, "generator"),
+        (4, 0.9, 5000, 17),
         # d^3 = 8000 multiply-adds per row: 64-row blocks, the floor
         (20, 1.0, 63, 18),
         (20, 0.8, 65, 19),
-        (20, 1.0, 129, "generator"),
+        (20, 1.0, 129, 17),
     ],
 )
-def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, rng):
+def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, seed):
     basis = _cglmp_basis(d)
     model = LocalModel(d=d, eta=eta, u_mode="haar-pure")
-    if rng == "generator":
-        est = leggett_bound_mc(basis, model, n_samples, substream(17, 0))
-        value, stderr = _haar_mc_oracle(basis, eta, n_samples, substream(17, 0))
-    else:
-        est = leggett_bound_mc(basis, model, n_samples, rng)
-        value, stderr = _haar_mc_oracle(basis, eta, n_samples, rng)
+    est = leggett_bound_mc(basis, model, n_samples, seed)
+    value, stderr = _haar_mc_oracle(basis, eta, n_samples, seed)
     assert est.samples == n_samples
     assert est.value == pytest.approx(value, rel=1e-12, abs=0)
     assert est.std_error == pytest.approx(stderr, rel=1e-12, abs=0)
 
 
-def _sphere_mc_oracle(basis, eta, n_samples, rng):
+def _sphere_mc_oracle(basis, eta, n_samples, seed):
     # each chunk drawn whole, in one sample_sphere call
     d = basis.d
     diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
@@ -217,8 +213,7 @@ def _sphere_mc_oracle(basis, eta, n_samples, rng):
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        gen = substream(rng, len(chunks)) if isinstance(rng, int) else rng
-        u = sample_sphere(d * d - 1, gen, size=m)
+        u = sample_sphere(d * d - 1, substream(seed, len(chunks)), size=m)
         chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
         done += m
     vals = np.concatenate(chunks)
@@ -226,33 +221,29 @@ def _sphere_mc_oracle(basis, eta, n_samples, rng):
     return vals.mean(), stderr
 
 
-@pytest.mark.parametrize("rng", [23, "generator"])
+@pytest.mark.parametrize("seed", [23])
 @pytest.mark.parametrize("eta", [0.5, 1.0])
 @pytest.mark.parametrize("d", range(2, 7))
-def test_mc_bound_sphere_matches_one_shot_oracle(d, eta, rng):
+def test_mc_bound_sphere_matches_one_shot_oracle(d, eta, seed):
     # sample counts at the edges of a row block and of a chunk
     block = leggett._mc_block_rows((d * d - 1) * d)
     counts = (1, block - 1, block + 1, _MC_CHUNK + 4000, 3 * _MC_CHUNK + 7)
-    _check_sphere_against_oracle(d, eta, rng, counts)
+    _check_sphere_against_oracle(d, eta, seed, counts)
 
 
-@pytest.mark.parametrize("d,eta,rng", [(51, 1.0, 23), (100, 0.6, "generator")])
-def test_mc_bound_sphere_matches_one_shot_oracle_at_the_row_floor(d, eta, rng):
+@pytest.mark.parametrize("d,eta,seed", [(51, 1.0, 23), (100, 0.6, 29)])
+def test_mc_bound_sphere_matches_one_shot_oracle_at_the_row_floor(d, eta, seed):
     # from d = 17 up a block is 64 rows; counts around one and two blocks
     assert leggett._mc_block_rows((d * d - 1) * d) == 64
-    _check_sphere_against_oracle(d, eta, rng, (63, 65, 129))
+    _check_sphere_against_oracle(d, eta, seed, (63, 65, 129))
 
 
-def _check_sphere_against_oracle(d, eta, rng, counts):
+def _check_sphere_against_oracle(d, eta, seed, counts):
     basis = _cglmp_basis(d)
     model = LocalModel(d=d, eta=eta)
     for n_samples in counts:
-        if rng == "generator":
-            est = leggett_bound_mc(basis, model, n_samples, substream(29, d))
-            value, stderr = _sphere_mc_oracle(basis, eta, n_samples, substream(29, d))
-        else:
-            est = leggett_bound_mc(basis, model, n_samples, rng)
-            value, stderr = _sphere_mc_oracle(basis, eta, n_samples, rng)
+        est = leggett_bound_mc(basis, model, n_samples, seed)
+        value, stderr = _sphere_mc_oracle(basis, eta, n_samples, seed)
         assert est.samples == n_samples
         assert est.value == pytest.approx(value, rel=1e-14, abs=0)
         assert est.std_error == pytest.approx(stderr, rel=1e-14, abs=0)
@@ -307,7 +298,7 @@ def test_mc_bound_same_for_any_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-def test_mc_bound_single_chunk_or_generator_uses_no_pool(monkeypatch):
+def test_mc_bound_single_chunk_uses_no_pool(monkeypatch):
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
@@ -316,7 +307,16 @@ def test_mc_bound_single_chunk_or_generator_uses_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     basis, model = _cglmp_basis(3), LocalModel(d=3)
     leggett_bound_mc(basis, model, _MC_CHUNK, 41)
-    leggett_bound_mc(basis, model, 3 * _MC_CHUNK, substream(41, 0))
+
+
+def test_mc_bound_takes_only_an_integer_seed():
+    basis, model = _cglmp_basis(3), LocalModel(d=3)
+    for seed in (substream(41, 0), 41.0, "41", None):
+        with pytest.raises(TypeError):
+            leggett_bound_mc(basis, model, 10, seed)
+    assert leggett_bound_mc(basis, model, 1000, np.uint64(41)) == leggett_bound_mc(
+        basis, model, 1000, 41
+    )
 
 
 def test_mc_bound_memory_does_not_grow_with_the_chunk():
@@ -360,15 +360,18 @@ def test_mc_bound_independent_of_chain_basis():
     assert abs(first.value - last.value) < 3 * spread
 
 
-def test_fixed_u_escape_gives_zero_exactly():
-    d = 3
-    mb = _cglmp_basis(d)
-    u = state_to_bloch(np.array([1, 0, 0], dtype=complex))
-    model = LocalModel(d=d, u_mode="fixed", fixed_u=u)
-    est = leggett_bound_mc(mb, model, 1, substream(0, 0))
-    assert abs(est.value) < 1e-13
-    assert est.std_error == 0.0
-    assert est.samples == 0
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pinned_u_bound_is_the_marginal_shift_distance(d):
+    # p_x - p_{x-1} = eta (d-1)/d (a^x - a^{x-1}).u, so the bound at one
+    # physical u is the shift distance of u's marginal
+    eta = 0.7
+    basis = _cglmp_basis(d)
+    diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
+    for u in state_to_bloch(sample_haar_pure(d, substream(53, d), size=20)):
+        p, valid = marginal_distribution(basis, u, eta)
+        assert valid
+        pinned = eta * (d - 1) / d**2 * np.abs(diffs @ u).sum()
+        assert abs(statistical_distance(p, np.roll(p, 1)) - pinned) <= 1e-15
 
 
 def test_eta_scales_the_estimates():
@@ -570,6 +573,4 @@ def test_local_model_validation():
     with pytest.raises(ValueError):
         LocalModel(d=3, u_mode="unknown")
     with pytest.raises(ValueError):
-        LocalModel(d=3, u_mode="fixed")  # fixed mode needs a vector
-    with pytest.raises(ValueError):
-        LocalModel(d=3, u_mode="fixed", fixed_u=np.ones(8))
+        LocalModel(d=3, u_mode="fixed")

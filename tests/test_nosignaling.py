@@ -138,7 +138,7 @@ def test_random_no_signaling_invariants(mix):
 
 def test_random_no_signaling_rejects_bad_mix():
     with pytest.raises(ValueError, match="mix"):
-        random_no_signaling(2, 2, 1.5, 1)
+        random_no_signaling(2, 2, 1.5, substream(1, 0))
 
 
 @pytest.mark.parametrize(
@@ -146,7 +146,7 @@ def test_random_no_signaling_rejects_bad_mix():
 )
 def test_random_no_signaling_rejects_bad_size(d, n, needle):
     with pytest.raises(ValueError, match=needle):
-        random_no_signaling(d, n, 0.5, 1)
+        random_no_signaling(d, n, 0.5, substream(1, 0))
 
 
 def test_shift_bound_on_random_corpus():
@@ -253,7 +253,7 @@ def test_agreement_bound_refuses_non_integer_settings(a, b, needle):
 
 
 def test_agreement_bound_takes_numpy_integer_settings():
-    dist = random_no_signaling(3, 2, 0.5, 5)
+    dist = random_no_signaling(3, 2, 0.5, substream(5, 0))
     assert check_agreement_bound(dist, np.int64(1), 2) == check_agreement_bound(dist, 1, 2)
 
 
@@ -278,11 +278,10 @@ def test_tensor_readers_reject_strings(call, form):
         JointDistribution(probs)
 
 
-def _dense_random_no_signaling(d, n, mix, rng):
+def _dense_random_no_signaling(d, n, mix, gen):
     """The construction `random_no_signaling` replaced: one dense (n, n, d, d)
     addend per strategy, from one-hot einsums, and a 4-array fancy-index add
     per box."""
-    gen = substream(int(rng), 0) if isinstance(rng, int) else rng
     probs = np.zeros((n, n, d, d))
     n_local = int(gen.integers(1, 6))
     w = gen.dirichlet(np.ones(n_local))
@@ -337,19 +336,15 @@ def _ptp_residuals(probs):
 def test_verification_path_is_bit_identical_to_dense_oracles(d, mix):
     for n in range(1, 10):
         seed = 100 * d + n
-        for rng in ("seed", "generator"):
-            gen, oracle_gen = substream(seed, 1), substream(seed, 1)
+        for stream in (0, 1):
+            gen, oracle_gen = substream(seed, stream), substream(seed, stream)
             m = float(gen.uniform()) if mix == "drawn" else mix
             if mix == "drawn":
                 oracle_gen.uniform()
-            if rng == "seed":
-                dist = random_no_signaling(d, n, m, seed)
-                probs = _dense_random_no_signaling(d, n, m, seed)
-            else:
-                dist = random_no_signaling(d, n, m, gen)
-                probs = _dense_random_no_signaling(d, n, m, oracle_gen)
-                # the same generator calls: both streams stand at one place
-                assert gen.integers(2**63) == oracle_gen.integers(2**63)
+            dist = random_no_signaling(d, n, m, gen)
+            probs = _dense_random_no_signaling(d, n, m, oracle_gen)
+            # the same generator calls: both streams stand at one place
+            assert gen.integers(2**63) == oracle_gen.integers(2**63)
             assert np.array_equal(dist.probs, probs)
             chained = _inline_chained_value(probs)
             assert chained_value(dist) == chained
@@ -370,6 +365,17 @@ def test_verification_path_is_bit_identical_to_dense_oracles(d, mix):
 def test_strategy_chained_value_wrap():
     assert strategy_chained_value(2, [0, 0], [0, 0]) == 1
     assert strategy_chained_value(3, [0, 0], [0, 0]) == 2
+
+
+def test_strategy_chained_value_refuses_empty_sequences():
+    with pytest.raises(ValueError, match="non-empty"):
+        strategy_chained_value(3, [], [])
+
+
+def test_strategy_chained_value_refuses_bad_dimension():
+    # d = 0 once reached `% 0`, a numpy divide-by-zero warning
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        strategy_chained_value(0, [1], [1])
 
 
 def _enumerated_lhv_min(d, n):
@@ -428,6 +434,28 @@ def test_contradiction_antipodal_qubit():
     assert report.certified
     assert report.max_min_overlap == 0.0
     assert report.gap >= 1.0
+
+
+@pytest.mark.parametrize(
+    "x1,x2,needle",
+    [
+        # -1 once indexed outcome d-1 and certified a gap for it
+        (-1, 0, "x1=-1 out of range 0..2"),
+        (0, 3, "x2=3 out of range 0..2"),
+        (True, 0, "x1=True is not an integer"),
+        (0, 1.0, "x2=1.0 is not an integer"),
+    ],
+)
+def test_contradiction_refuses_bad_outcome_indices(x1, x2, needle):
+    alice, _ = cglmp_bases(chained_settings(3, 2))
+    with pytest.raises(ValueError, match=f"outcome index {needle}"):
+        deterministic_contradiction(alice[0], alice[1], x1, x2)
+
+
+def test_contradiction_takes_numpy_integer_outcomes():
+    alice, _ = cglmp_bases(chained_settings(3, 2))
+    report = deterministic_contradiction(alice[0], alice[1], np.int64(2), 2)
+    assert report.gap == deterministic_contradiction(alice[0], alice[1], 2, 2).gap
 
 
 def test_contradiction_adjacent_settings_matches_dense_search():

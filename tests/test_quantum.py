@@ -162,6 +162,18 @@ def test_gamma_values():
     assert gamma_factor(4) == pytest.approx(math.pi**2 / 64 * 10, abs=1e-12)
 
 
+def test_gamma_factor_matches_mpmath():
+    # a grid that holds the worst case over d = 2..1000, at d = 939
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for d in [*range(2, 33), 100, 257, 500, 906, 939, 1000]:
+            terms = (j / mpmath.sin(mpmath.pi * j / d) ** 2 for j in range(1, d))
+            exact = mpmath.pi**2 / (4 * d * d) * mpmath.fsum(terms)
+            worst = max(worst, abs(float(mpmath.mpf(gamma_factor(d)) / exact - 1)))
+    assert worst <= 3e-13
+
+
 def test_asymptotic_values():
     assert asymptotic_chained_value(3, 15) == pytest.approx(
         2 * math.pi**2 / 9 / 15, abs=1e-12
