@@ -5,9 +5,9 @@ involves |(a^x - a^{x-1}) . u| and vanishes whenever u is orthogonal to
 every difference of measurement vectors: such a u "escapes" the test.  The
 fix is measuring additional copies of the chained set conjugated by a
 unitary (compensated on the other side, so each copy reproduces the same
-I_N).  Their difference spans accumulate orthogonal directions until the
-whole Bloch space is covered and no unit vector is orthogonal to all of
-them.
+I_N).  With one copy per basis of a complete set of mutually unbiased
+bases, the copies' setting-1 spans are mutually orthogonal and fill the
+whole Bloch space, so no unit vector is orthogonal to all of them.
 
 Run:  python demos/escape_directions.py
 """
@@ -22,27 +22,31 @@ from cryptononlocal import (
     joint_from_bases,
     marginal_distribution,
     maximally_entangled,
-    multi_plane_families,
+    mub_families,
     state_to_bloch,
     statistical_distance,
 )
 
 D, N = 3, 9
-settings = chained_settings(D, N)
-families = multi_plane_families(settings, k=2)
+families = mub_families(chained_settings(D, N))
 
-print(f"d={D}, N={N}: two measurement families")
-for fam in families:
-    print(
-        f"  family {fam.index}: difference span dim = {fam.span.shape[0]}, "
-        f"new orthogonal directions = {fam.new_directions.shape[0]}"
-    )
-total = sum(f.new_directions.shape[0] for f in families)
-print(f"  union covers {total} of {D * D - 1} Bloch dimensions")
+print(f"d={D}, N={N}: {len(families)} families, one per mutually unbiased basis")
+diffs = []
+for index, fam in enumerate(families, start=1):
+    vectors = basis_to_bloch(fam.alice[0]).vectors
+    diffs.append(vectors - np.roll(vectors, 1, axis=0))
+    print(f"  family {index}: difference span dim = {fam.span.shape[0]} over all settings")
+orthogonal = all(
+    np.abs(a @ b.T).max() < 1e-12 for i, a in enumerate(diffs) for b in diffs[i + 1 :]
+)
+rank = np.linalg.matrix_rank(np.concatenate(diffs))
+print(f"  setting-1 spans pairwise orthogonal to 1e-12: {orthogonal}")
+print(f"  their union covers {rank} of {D * D - 1} Bloch dimensions")
 print()
 
-# a hidden direction built from a computational basis state is orthogonal
-# to every difference vector of the first family
+# the computational state |0> lies in the span of family 1 (its setting 1 is
+# the computational basis) and is orthogonal to every difference vector of
+# the other families
 u = state_to_bloch(np.array([1, 0, 0], dtype=complex))
 print("hidden direction u = coordinates of the state |0>")
 for entry in escape_report(u, families):
@@ -51,23 +55,25 @@ for entry in escape_report(u, families):
 print()
 
 psi = maximally_entangled(D)
-print(f"{'N':>4}  {'I_N':>10}  {'bound fam 1':>12}  {'bound fam 2':>12}")
-for n in (5, 9, 12, 16, 20):
-    fams_n = multi_plane_families(chained_settings(D, n), k=2)
+header = "".join(f"  {f'bound fam {k}':>12}" for k in range(1, len(families) + 1))
+print(f"{'N':>4}  {'I_N':>10}{header}")
+for n in (2, 3, 5, 9, 20):
+    fams_n = mub_families(chained_settings(D, n))
     i_n = chained_value(joint_from_bases(psi, fams_n[0].alice, fams_n[0].bob))
     bounds = []
     for fam in fams_n:
         # bound at setting 1: the shift distance of u's outcome marginal
         p, _ = marginal_distribution(basis_to_bloch(fam.alice[0]), u)
         bounds.append(statistical_distance(p, np.roll(p, 1)))
-    flag = "  <- family 2 violated" if i_n < max(bounds) else ""
-    print(f"{n:>4}  {i_n:>10.6f}  {bounds[0]:>12.6f}  {bounds[1]:>12.6f}{flag}")
+    flag = "  <- family 1 violated" if i_n < max(bounds) else ""
+    cells = "".join(f"  {b:>12.6f}" for b in bounds)
+    print(f"{n:>4}  {i_n:>10.6f}{cells}{flag}")
 print()
 print(
-    "Family 1 alone can never convict this u (its bound is exactly zero),\n"
-    "but the conjugated family keeps the same chained value while its span\n"
-    "catches u: once I_N sinks below that family's bound, the combined\n"
-    "constraint min(I_N^1, I_N^2) >= L fails and the fixed-direction model\n"
-    "is falsified anyway.  At most d^2 - 2 families are ever needed to\n"
-    "corner every direction."
+    "Families 2..4 alone can never convict this u (their bounds are exactly\n"
+    "zero), but family 1 keeps the same chained value while its span catches\n"
+    "u: once I_N sinks below that family's bound, the constraint I_N >= L\n"
+    "of family 1 fails and the fixed-direction model is falsified anyway.\n"
+    "Every direction is caught by some family: d+1 families at prime d, by\n"
+    "theorem, corner every direction."
 )

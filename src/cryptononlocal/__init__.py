@@ -11,7 +11,6 @@ on the command line.
 from .bloch import (
     bloch_to_density,
     expected_abs_projection,
-    haar_unitary,
     sample_haar_pure,
     sample_sphere,
     state_to_bloch,
@@ -19,7 +18,6 @@ from .bloch import (
 )
 from .leggett import (
     BoundEstimate,
-    ConstructionError,
     CriticalNotFoundError,
     FamilyProjection,
     LocalModel,
@@ -32,7 +30,7 @@ from .leggett import (
     leggett_bound_floor,
     leggett_bound_mc,
     marginal_distribution,
-    multi_plane_families,
+    mub_families,
 )
 from .nosignaling import (
     AgreementReport,

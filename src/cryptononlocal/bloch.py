@@ -42,7 +42,6 @@ __all__ = [
     "substream",
     "sample_sphere",
     "sample_haar_pure",
-    "haar_unitary",
 ]
 
 
@@ -182,10 +181,3 @@ def sample_haar_pure(d: int, rng: np.random.Generator, size: int | None = None) 
     )
     return z[0] if size is None else z
 
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases[None, :]

@@ -18,11 +18,13 @@ Quantum mechanics drives I_N below the floor once N is large enough; the
 smallest such N is the critical settings count found by `find_critical_n`.
 
 A hidden vector orthogonal to the span of all difference vectors makes L
-vanish ("escape direction").  `multi_plane_families` counters this by
-conjugating the measurement set with unitaries (compensated on the other
-side, so I_N is unchanged) until the accumulated spans exhaust the Bloch
-space; `escape_report` measures the projection of a fixed u onto each
-family's span.
+vanish ("escape direction").  `mub_families` counters this with d + 1
+copies of the measurement set, conjugated by unitaries (compensated on the
+other side, so I_N is unchanged) that take Alice's setting-1 basis to each
+basis of a complete set of mutually unbiased bases.  Their setting-1 spans
+are mutually orthogonal by theorem and fill the Bloch space, so no hidden
+vector escapes every family; prime d only.  `escape_report` measures the
+projection of a fixed u onto each family's span.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 from .bloch import (
     bloch_to_density,
     expected_abs_projection,
-    haar_unitary,
     sample_haar_pure,
     sample_sphere,
     state_to_bloch,
@@ -57,8 +58,7 @@ __all__ = [
     "find_critical_n",
     "CriticalNotFoundError",
     "MeasurementFamily",
-    "multi_plane_families",
-    "ConstructionError",
+    "mub_families",
     "FamilyProjection",
     "escape_report",
 ]
@@ -410,116 +410,68 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
     return hi
 
 
-class ConstructionError(RuntimeError):
-    """Orthogonal measurement-family construction failed."""
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementFamily:
-    """One chained measurement set plus its Bloch-space footprint.
+    """One conjugated copy of the chained measurement set; ``span`` holds an
+    orthonormal basis (rows) of the difference vectors {a^x - a^{x-1}} of
+    all N Alice settings."""
 
-    ``span`` holds an orthonormal basis (rows) of the family's difference
-    vectors {a^x - a^{x-1}}; ``new_directions`` the subspace this family
-    adds beyond the families before it.  The ``new_directions`` blocks of a
-    family list are mutually orthogonal and jointly span the union of the
-    spans, so a hidden vector orthogonal to all of them is orthogonal to
-    every family.
-    """
-
-    index: int
-    unitary: np.ndarray
     alice: np.ndarray  # (N, d, d) basis rows per setting
     bob: np.ndarray
     span: np.ndarray
-    new_directions: np.ndarray
 
 
-def _orthonormal_rows(vectors: np.ndarray, tol: float = _SPAN_TOL) -> np.ndarray:
-    if vectors.size == 0:
-        return np.zeros((0, vectors.shape[1]))
-    _, sv, vt = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(sv > tol))
-    return vt[:rank]
+def _mub_bases(d: int) -> np.ndarray:
+    """A complete set of d + 1 mutually unbiased bases for prime d.
 
-
-def _family_difference_vectors(alice: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [_difference_matrix(basis_to_bloch(basis)) for basis in alice], axis=0
-    )
-
-
-def multi_plane_families(
-    settings: ChainedSettings, k: int, seed: int = 2025
-) -> list[MeasurementFamily]:
-    """k copies of the chained measurement set with orthogonal new content.
-
-    Family 1 is the input.  Each further family conjugates Alice's bases by
-    a unitary and Bob's by its complex conjugate, which leaves the joint
-    distribution on the maximally entangled state (hence I_N) unchanged.
-    Unitaries are drawn from seeded counter-based streams and accepted only
-    if the family's difference span adds at least one direction orthogonal
-    to everything accumulated so far, until the Bloch space is exhausted;
-    after exhaustion further families carry an empty ``new_directions``
-    block (no escape direction survives anyway).
+    Returns shape (d + 1, d, d); row x of basis k is its outcome-x state, and
+    ``|<m_a|m_b>|^2 = 1/d`` for states of two different bases (Ivanovic,
+    J. Phys. A 14, 3241 (1981); Wootters & Fields, Ann. Phys. 191, 363
+    (1989)).  At d = 2 the bases are the eigenbases of Z, X and Y.  At odd
+    prime d they are the computational basis and, for k = 0..d-1,
+    ``sum_j omega^(k j^2 + x j) |j> / sqrt(d)`` with ``omega = exp(2 pi i/d)``.
+    Any other d raises `ValueError`: prime powers need arithmetic over
+    GF(p^m), and no complete set is known at d = 6.
     """
-    d = settings.d
-    if not 1 <= k <= d * d - 2:
-        raise ValueError(f"k must lie in 1..{d * d - 2} for d={d}")
-    base_alice, base_bob = cglmp_bases(settings)
-    full_dim = d * d - 1
+    if d < 2 or any(d % p == 0 for p in range(2, math.isqrt(d) + 1)):
+        raise ValueError(f"d={d} is not prime: complete MUB sets are built for prime d only")
+    k, x, j = np.ogrid[:d, :d, :d]
+    # phases in units of pi/d, reduced mod 2d in integers so that each is one
+    # exact exp: omega^(k j^2 + x j) at odd d, i^(k j^2) (-1)^(x j) at d = 2
+    c = 1 if d == 2 else 2
+    turns = (c * k * j * j + 2 * x * j) % (2 * d)
+    fourier = np.exp(1j * np.pi / d * turns) / math.sqrt(d)
+    return np.concatenate([np.eye(d, dtype=complex)[None], fourier])
 
-    span1 = _orthonormal_rows(_family_difference_vectors(base_alice))
-    families = [
-        MeasurementFamily(
-            index=1,
-            unitary=np.eye(d, dtype=complex),
-            alice=base_alice,
-            bob=base_bob,
-            span=span1,
-            new_directions=span1,
-        )
-    ]
-    accumulated = span1
 
-    for t in range(2, k + 1):
-        chosen = None
-        for attempt in range(64):
-            gen = substream(seed, t * 1000 + attempt)
-            u_t = haar_unitary(d, gen)
-            alice = np.einsum("ij,axj->axi", u_t, base_alice)
-            bob = np.einsum("ij,axj->axi", u_t.conj(), base_bob)
-            diffs = _family_difference_vectors(alice)
-            span = _orthonormal_rows(diffs)
-            residual = diffs - (diffs @ accumulated.T) @ accumulated
-            new_dirs = _orthonormal_rows(residual)
-            if new_dirs.shape[0] > 0 or accumulated.shape[0] >= full_dim:
-                chosen = (u_t, alice, bob, span, new_dirs)
-                break
-        if chosen is None:
-            raise ConstructionError(
-                f"no conjugation with orthogonal new content found for family {t}"
-            )
-        u_t, alice, bob, span, new_dirs = chosen
-        accumulated = np.concatenate([accumulated, new_dirs], axis=0)
+def mub_families(settings: ChainedSettings) -> list[MeasurementFamily]:
+    """d + 1 copies of the chained measurement set, one per mutually unbiased basis.
+
+    With basis states as columns, family k conjugates Alice's bases by
+    ``U_k = M_k F_1^dagger`` and Bob's by its complex conjugate, where M_k is
+    the k-th mutually unbiased basis (the computational basis first) and F_1
+    is Alice's setting-1 basis.  As ``(U x conj(U)) |Phi> = |Phi>`` on the
+    maximally entangled state, every family keeps the joint distribution,
+    hence the I_N, of the input, and setting 1 of family k is M_k itself.
+
+    By the projection rule, unbiased states have orthogonal Bloch vectors, so
+    the setting-1 spans of the d + 1 families (d - 1 dimensions each) are
+    mutually orthogonal and fill all d^2 - 1: no unit hidden vector u is
+    orthogonal to every family.  A d that is not prime raises `ValueError`.
+    """
+    alice, bob = cglmp_bases(settings)
+    families = []
+    for mub in _mub_bases(settings.d):
+        # with rows as states, conjugating by U_k multiplies on the right by
+        # v = F_1^dagger M_k, which takes setting 1 to F_1 v = M_k
+        v = alice[0].conj().T @ mub
+        fam_alice = alice @ v
+        diffs = [_difference_matrix(basis_to_bloch(basis)) for basis in fam_alice]
+        _, sv, vt = np.linalg.svd(np.concatenate(diffs), full_matrices=False)
+        span = vt[sv > _SPAN_TOL]  # orthonormal rows, by decreasing singular value
         families.append(
-            MeasurementFamily(
-                index=t,
-                unitary=u_t,
-                alice=alice,
-                bob=bob,
-                span=span,
-                new_directions=new_dirs,
-            )
+            MeasurementFamily(alice=fam_alice, bob=bob @ v.conj(), span=span)
         )
-
-    for i, fam_i in enumerate(families):
-        for fam_j in families[i + 1 :]:
-            if fam_i.new_directions.size and fam_j.new_directions.size:
-                res = np.abs(fam_i.new_directions @ fam_j.new_directions.T).max()
-                if res > _SPAN_TOL:
-                    raise ConstructionError(
-                        f"descriptor orthogonality residual {res} above {_SPAN_TOL}"
-                    )
     return families
 
 
@@ -536,17 +488,19 @@ def escape_report(
     """Projection of a fixed hidden vector onto each family's difference span.
 
     A family is flagged when the projection falls below 1e-9: for that
-    family alone, ``u`` is an escape direction and L vanishes.
+    family alone, ``u`` is an escape direction and L vanishes.  Each entry's
+    ``index`` is the family's 1-based position in ``families``.
+
+    A family's span covers the difference vectors of all its N settings,
+    while `demos/escape_directions.py` bounds L at setting 1 alone.  Both
+    are sound, because the shift lemma ``Delta(P_X, P_{X+1}) <= I_N`` holds
+    at every setting (`verify_shift_bound` checks each one).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if abs(np.linalg.norm(u) - 1.0) > 1e-12:
         raise ValueError("u must be unit norm")
-    out = []
-    for fam in families:
-        proj = float(np.linalg.norm(fam.span @ u)) if fam.span.size else 0.0
-        out.append(
-            FamilyProjection(
-                index=fam.index, projection=proj, escape_possible=proj < _SPAN_TOL
-            )
-        )
-    return out
+    projections = [float(np.linalg.norm(fam.span @ u)) for fam in families]
+    return [
+        FamilyProjection(index=index, projection=proj, escape_possible=proj < _SPAN_TOL)
+        for index, proj in enumerate(projections, start=1)
+    ]

@@ -233,13 +233,25 @@ class DeterministicStrategy:
 
 
 def strategy_chained_value(d: int, alice, bob) -> int:
-    """I_N of a deterministic strategy; always an integer."""
+    """I_N of a deterministic strategy; always an integer.
+
+    Outcomes must be integers in 0..d-1.  A side whose array has a float or
+    boolean dtype, or holds a value out of range, raises `ValueError`; the
+    check reads dtype, minimum and maximum, never a Python loop.
+    """
     if d < 2:
         raise ValueError("d must be >= 2")
-    a = np.asarray(alice, dtype=int)
-    b = np.asarray(bob, dtype=int)
+    a = np.asarray(alice)
+    b = np.asarray(bob)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("alice and bob must be non-empty equal-length outcome sequences")
+    for name, outcomes in (("alice", a), ("bob", b)):
+        if outcomes.dtype.kind not in "iu":
+            raise ValueError(f"{name} outcomes are not integers (dtype {outcomes.dtype})")
+        if outcomes.min() < 0 or outcomes.max() > d - 1:
+            raise ValueError(f"{name} outcomes are out of range 0..{d - 1}")
+    # the default integer width, so that a - b cannot wrap in a narrow or unsigned dtype
+    a, b = a.astype(int, copy=False), b.astype(int, copy=False)
     a_next = np.roll(a, -1)
     a_next[-1] = a[0] + 1
     return int(np.sum((a - b) % d) + np.sum((b - a_next) % d))

@@ -343,10 +343,12 @@ def cglmp_chained_value(d: int, n: int) -> float:
 
 
 def gamma_factor(d: int) -> float:
-    """Leading coefficient of the large-N decay of I_N.
+    """Leading coefficient of the large-N decay of I_N, in closed form.
 
-    ``gamma = pi^2/(4 d^2) * sum_{j=1}^{d-1} j / sin^2(pi j / d)``.  Expanding
-    the closed form in ``f = 1/(2N)`` gives
+    ``gamma = pi^2/(4 d^2) * sum_{j=1}^{d-1} j / sin^2(pi j / d)``.  Pairing
+    j with d - j gives ``sum_j j csc^2(pi j/d) = (d/2) sum_j csc^2(pi j/d)
+    = d (d^2 - 1)/6``, so ``gamma = pi^2 (d^2 - 1) / (24 d)``.  Expanding
+    the closed form of I_N in ``f = 1/(2N)`` gives
 
         I_N = 2 gamma / N + c2 / N^2 + O(1/N^3),
         c2(d) = -(pi^3 / (2 d^3)) sum_{m=1}^{d-1} m cos(pi m/d) / sin^3(pi m/d),
@@ -355,13 +357,12 @@ def gamma_factor(d: int) -> float:
     d-m cancel at d=2, so c2(2) = 0: there ``I_N = 2N sin^2(pi/(4N))``
     exactly and the first correction is cubic, ``-pi^4/(384 N^3)``.
 
-    The d - 1 terms are summed in float: relative error against 40-digit
-    mpmath at most 2.2e-13 over d = 2..1000 (worst at d = 939).
+    Relative error against the 40-digit mpmath sum: at most 2.4e-16 over
+    d = 2..1000.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    j = np.arange(1, d)
-    return float(np.pi**2 / (4 * d * d) * np.sum(j / np.sin(np.pi * j / d) ** 2))
+    return math.pi**2 * (d * d - 1) / (24 * d)
 
 
 def asymptotic_chained_value(d: int, n: int) -> float:

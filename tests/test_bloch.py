@@ -6,12 +6,12 @@ import pytest
 from cryptononlocal.bloch import (
     bloch_to_density,
     expected_abs_projection,
-    haar_unitary,
     sample_haar_pure,
     sample_sphere,
     state_to_bloch,
     substream,
 )
+from helpers import haar_unitary
 
 ATOL = 1e-12
 

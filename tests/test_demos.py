@@ -33,7 +33,8 @@ def _run_with_src_on_path(*args):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
-    result = _run_with_src_on_path(str(demo))
+    # dev mode and warnings as errors, as the unit tests run
+    result = _run_with_src_on_path("-X", "dev", "-W", "error", str(demo))
     assert result.returncode == 0, result.stderr
 
 

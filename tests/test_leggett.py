@@ -29,7 +29,7 @@ from cryptononlocal.leggett import (
     leggett_bound_floor,
     leggett_bound_mc,
     marginal_distribution,
-    multi_plane_families,
+    mub_families,
 )
 from cryptononlocal.nosignaling import statistical_distance
 from cryptononlocal.quantum import (
@@ -500,69 +500,82 @@ def test_chained_value_strictly_decreasing(d):
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_multi_plane_identity_for_k1():
-    settings = chained_settings(3, 4)
-    fams = multi_plane_families(settings, 1)
-    assert len(fams) == 1
-    alice, bob = cglmp_bases(settings)
-    assert np.abs(fams[0].alice - alice).max() < 1e-15
-    assert np.abs(fams[0].bob - bob).max() < 1e-15
-    assert np.abs(fams[0].unitary - np.eye(3)).max() == 0
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_mub_bases_are_mutually_unbiased(d):
+    bases = leggett._mub_bases(d)
+    assert bases.shape == (d + 1, d, d)
+    # overlaps[k, l, x, y] = |<m^k_x|m^l_y>|^2
+    overlaps = np.abs(np.einsum("kxi,lyi->klxy", bases.conj(), bases)) ** 2
+    for k in range(d + 1):
+        assert np.abs(overlaps[k, k] - np.eye(d)).max() < 1e-12
+        for other in range(k + 1, d + 1):
+            assert np.abs(overlaps[k, other] - 1.0 / d).max() < 1e-12
 
 
-def test_multi_plane_k_range_checked():
-    settings = chained_settings(2, 3)
-    with pytest.raises(ValueError, match="k must lie"):
-        multi_plane_families(settings, 3)  # d=2 allows at most d^2-2 = 2
-    with pytest.raises(ValueError, match="k must lie"):
-        multi_plane_families(settings, 0)
+def test_qubit_mubs_are_the_pauli_eigenbases():
+    paulis = [np.diag([1, -1]), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
+    for basis, pauli in zip(leggett._mub_bases(2), paulis):
+        for state, eigenvalue in zip(basis, (1, -1)):
+            assert np.abs(pauli @ state - eigenvalue * state).max() < 1e-15
 
 
-@pytest.mark.parametrize("d,n,k", [(2, 3, 2), (3, 3, 2), (3, 2, 4), (4, 2, 3)])
-def test_multi_plane_orthogonality_and_chained_invariance(d, n, k):
+@pytest.mark.parametrize("d", [4, 6])
+def test_mub_families_refuse_non_prime_dimension(d):
+    with pytest.raises(ValueError, match=f"d={d} is not prime"):
+        mub_families(chained_settings(d, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mub_family_setting_one_is_the_mub(d):
+    fams = mub_families(chained_settings(d, 3))
+    assert len(fams) == d + 1
+    for fam, mub in zip(fams, leggett._mub_bases(d)):
+        assert np.abs(fam.alice[0] - mub).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (3, 2), (5, 2)])
+def test_mub_families_orthogonality_and_chained_invariance(d, n):
     settings = chained_settings(d, n)
-    fams = multi_plane_families(settings, k)
-    assert len(fams) == k
-    # descriptors are mutually orthogonal
-    for i, fi in enumerate(fams):
-        for fj in fams[i + 1 :]:
-            if fi.new_directions.size and fj.new_directions.size:
-                assert np.abs(fi.new_directions @ fj.new_directions.T).max() < 1e-9
-    # every family reproduces the same chained value on the entangled state
+    fams = mub_families(settings)
+    # the setting-1 difference spans are pairwise orthogonal and fill the
+    # Bloch space
+    diffs = [leggett._difference_matrix(basis_to_bloch(f.alice[0])) for f in fams]
+    for i, di in enumerate(diffs):
+        for dj in diffs[i + 1 :]:
+            assert np.abs(di @ dj.T).max() < 1e-12
+    assert np.linalg.matrix_rank(np.concatenate(diffs)) == d * d - 1
+    # every family reproduces the chained value of the input settings on the
+    # entangled state
     psi = maximally_entangled(d)
-    reference = chained_value(joint_from_bases(psi, fams[0].alice, fams[0].bob))
-    for fam in fams[1:]:
+    reference = chained_value(joint_from_bases(psi, *cglmp_bases(settings)))
+    for fam in fams:
         value = chained_value(joint_from_bases(psi, fam.alice, fam.bob))
-        assert abs(value - reference) < 1e-10
+        assert abs(value - reference) < 1e-12
 
 
-def test_multi_plane_union_blocks_all_escapes_for_qubits():
-    settings = chained_settings(2, 3)
-    fams = multi_plane_families(settings, 2)
-    total = sum(f.new_directions.shape[0] for f in fams)
-    assert total == 3  # spans exhaust the full Bloch space
-    rng = substream(67, 0)
-    for _ in range(20):
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mub_families_leave_no_escape(d):
+    fams = mub_families(chained_settings(d, 3))
+    for u in sample_sphere(d * d - 1, substream(67, d), size=20):
         report = escape_report(u, fams)
         assert any(not r.escape_possible for r in report)
+        # u's squared projections onto the d + 1 orthogonal setting-1 spans,
+        # each inside its family's span, sum to 1
+        assert max(r.projection for r in report) >= 1.0 / math.sqrt(d + 1) - 1e-12
 
 
 def test_escape_report_flags_span_normal():
-    # the qubit chained vectors fill the equatorial plane; its normal is an
-    # escape direction for family 1 but not for the rotated family
-    settings = chained_settings(2, 3)
-    fams = multi_plane_families(settings, 2)
-    normal = np.array([0.0, 0.0, 1.0])
-    assert np.abs(fams[0].span @ normal).max() < 1e-12
-    report = escape_report(normal, fams)
-    assert report[0].escape_possible
-    assert not report[1].escape_possible
+    # the normal (0, 0, 1) of the qubit equatorial plane, the Bloch vector of
+    # |0>, escapes the X and Y families but not the Z family
+    fams = mub_families(chained_settings(2, 3))
+    report = escape_report(np.array([0.0, 0.0, 1.0]), fams)
+    assert [r.index for r in report] == [1, 2, 3]
+    assert [r.escape_possible for r in report] == [False, True, True]
+    assert report[0].projection == pytest.approx(1.0, abs=1e-12)
 
 
 def test_escape_report_requires_unit_vector():
-    fams = multi_plane_families(chained_settings(2, 2), 1)
+    fams = mub_families(chained_settings(2, 2))
     with pytest.raises(ValueError, match="unit"):
         escape_report(np.array([0.0, 0.0, 2.0]), fams)
 

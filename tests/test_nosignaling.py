@@ -365,6 +365,25 @@ def test_verification_path_is_bit_identical_to_dense_oracles(d, mix):
 def test_strategy_chained_value_wrap():
     assert strategy_chained_value(2, [0, 0], [0, 0]) == 1
     assert strategy_chained_value(3, [0, 0], [0, 0]) == 2
+    # the all-zero tuples of the lhv_min_chained witness
+    assert strategy_chained_value(3, (0,) * 4, (0,) * 4) == 2
+
+
+@pytest.mark.parametrize(
+    "outcomes,needle",
+    [
+        ([0.7], "are not integers"),
+        ([5], "are out of range"),
+        ([-1], "are out of range"),
+        ([True], "are not integers"),
+    ],
+)
+def test_strategy_chained_value_refuses_bad_outcomes(outcomes, needle):
+    # [0.7] used to truncate to 0 and [5] to count as 2, mod d
+    with pytest.raises(ValueError, match=f"alice outcomes {needle}"):
+        strategy_chained_value(3, outcomes, [0])
+    with pytest.raises(ValueError, match=f"bob outcomes {needle}"):
+        strategy_chained_value(3, [0], outcomes)
 
 
 def test_strategy_chained_value_refuses_empty_sequences():

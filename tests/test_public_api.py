@@ -11,7 +11,7 @@ from cryptononlocal import (
     chained_settings,
     closed_form_probs,
     deterministic_contradiction,
-    multi_plane_families,
+    mub_families,
     verify_shift_bound,
 )
 
@@ -42,7 +42,7 @@ def _array_holders():
         settings,
         dist,
         basis_to_bloch(alice[0]),
-        multi_plane_families(settings, 1)[0],
+        mub_families(settings)[0],
         verify_shift_bound(dist),
         deterministic_contradiction(alice[0], alice[1], 0, 0),
     ]
