@@ -60,6 +60,8 @@ EXIT_IO = 4
 # Largest row count `sweep` builds, and largest `verify --suite lhv --n`, whose
 # witness holds 2 n outcomes: both are held in memory before writing.
 MAX_SWEEP_ROWS = 10**6
+# The fields of a `sweep` row, in column order.
+_SWEEP_COLUMNS = ("d", "N", "eta", "i_n", "bound", "l_analytic", "violated")
 
 
 def fmt_human(x: float) -> str:
@@ -204,74 +206,40 @@ def _cmd_ncrit(args) -> int:
 
 def _sweep_rows(fig: int, d_range, etas, n_range) -> list[dict]:
     rows = []
-    d_lo, d_hi = d_range
-    n_lo, n_hi = n_range
-    for d in range(d_lo, d_hi + 1):
+    for d in range(d_range[0], d_range[1] + 1):
         for eta in sorted(etas):
             bound = leggett_bound_floor(d, eta)
             l_analytic = leggett_bound_analytic(d, eta).value
             if fig == 2:
-                for n in range(n_lo, n_hi + 1):
-                    i_n = cglmp_chained_value(d, n)
-                    rows.append(
-                        dict(
-                            d=d,
-                            N=n,
-                            eta=eta,
-                            i_n=i_n,
-                            bound=bound,
-                            l_analytic=l_analytic,
-                            violated=i_n < bound,
-                        )
-                    )
+                ns = range(n_range[0], n_range[1] + 1)
             else:
-                n_crit = find_critical_n(d, eta, n_hi)
-                rows.append(
-                    dict(
-                        d=d,
-                        N=n_crit,
-                        eta=eta,
-                        i_n=cglmp_chained_value(d, n_crit),
-                        bound=bound,
-                        l_analytic=l_analytic,
-                        violated=True,
-                    )
-                )
+                ns = [find_critical_n(d, eta, n_range[1])]
+            for n in ns:
+                i_n = cglmp_chained_value(d, n)
+                values = (d, n, eta, i_n, bound, l_analytic, i_n < bound)
+                rows.append(dict(zip(_SWEEP_COLUMNS, values)))
+    # with a repeated eta this interleaves the duplicate rows by N
     rows.sort(key=lambda r: (r["d"], r["eta"], r["N"]))
     return rows
 
 
 def _serialize_rows(rows: list[dict], fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["d", "N", "eta", "i_n", "bound", "l_analytic", "violated"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r["d"],
-                    r["N"],
-                    fmt_data(r["eta"]),
-                    fmt_data(r["i_n"]),
-                    fmt_data(r["bound"]),
-                    fmt_data(r["l_analytic"]),
-                    "true" if r["violated"] else "false",
-                ]
-            )
-        return buf.getvalue()
-    payload = [
-        {
-            "d": r["d"],
-            "N": r["N"],
-            "eta": float(fmt_data(r["eta"])),
-            "i_n": float(fmt_data(r["i_n"])),
-            "bound": float(fmt_data(r["bound"])),
-            "l_analytic": float(fmt_data(r["l_analytic"])),
-            "violated": bool(r["violated"]),
-        }
-        for r in rows
+    # each float formatted once, to 12 significant digits: CSV writes that
+    # text, JSON the number it reads back as
+    cells = [
+        {k: fmt_data(v) if isinstance(v, float) else v for k, v in r.items()} for r in rows
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    if fmt == "json":
+        payload = [
+            {k: float(v) if isinstance(v, str) else v for k, v in c.items()} for c in cells
+        ]
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, _SWEEP_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for c in cells:
+        writer.writerow({**c, "violated": "true" if c["violated"] else "false"})
+    return buf.getvalue()
 
 
 def _cmd_sweep(args) -> int:

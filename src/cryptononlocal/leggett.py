@@ -30,13 +30,13 @@ projection of a fixed u onto each family's span.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import (
+    _integer,
     bloch_to_density,
     expected_abs_projection,
     sample_haar_pure,
@@ -132,8 +132,7 @@ class LocalModel:
     u_mode: str = "sphere-uniform"
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        object.__setattr__(self, "d", _integer("d", self.d, 2))
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.u_mode not in U_MODES:
@@ -202,11 +201,12 @@ def leggett_bound_mc(
 ) -> BoundEstimate:
     """Monte Carlo estimate of the model bound L for one measurement basis.
 
-    Samples come in chunks of 65536.  ``seed`` is an integer (anything else,
-    a Generator included, raises `TypeError`): chunk i reads the
-    counter-based stream (seed, i), so the estimate depends only on the
-    seed and the sample count.  The chunks run on a thread pool with one
-    worker per CPU in the affinity mask, at most one per chunk (a single
+    ``n_samples`` (at least 1) and ``seed`` are integers: a float such as
+    70000.5, a bool or a Generator raises `TypeError`, as for every integer
+    argument of the package.  Samples come in chunks of 65536: chunk i
+    reads the counter-based stream (seed, i), so the estimate depends only
+    on the seed and the sample count.  The chunks run on a thread pool with
+    one worker per CPU in the affinity mask, at most one per chunk (a single
     chunk runs in the calling thread).  The random draws release the
     interpreter lock, so the workers run in parallel.  Each chunk returns
     its sum and its sum of squared deviations from its own mean; these are
@@ -260,11 +260,8 @@ def leggett_bound_mc(
     d = basis.d
     coef = model.eta * (d - 1) / d**2
     diffs = _difference_matrix(basis)
-    # integers only: a float such as 70000.5 or a Generator raises TypeError
-    n_samples = operator.index(n_samples)
-    seed = operator.index(seed)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _integer("n_samples", n_samples, 1)
+    seed = _integer("seed", seed)
     n_dim = d * d - 1
     haar = model.u_mode == "haar-pure"
     if haar:
@@ -334,8 +331,7 @@ def leggett_bound_analytic(d: int, eta: float = 1.0) -> BoundEstimate:
     ``|w . u|`` is ``|w| kappa_{d^2-1}``, so
     ``L = eta (d-1)/d^2 * d sqrt(2d/(d-1)) * kappa_{d^2-1}``.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _integer("d", d, 2)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     value = (
@@ -351,8 +347,7 @@ def leggett_bound_analytic(d: int, eta: float = 1.0) -> BoundEstimate:
 
 def leggett_bound_floor(d: int, eta: float = 1.0) -> float:
     """Explicit lower bound ``eta 2(d-1)/d^3`` of L under uniform hidden states."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _integer("d", d, 2)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     return eta * 2.0 * (d - 1) / d**3
@@ -371,7 +366,9 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
 
     Uses the exact quantum value, not its large-N approximation: near the
     threshold the two disagree about the crossing point.  Equality counts
-    as no violation.
+    as no violation.  ``d`` and ``n_max`` are integers; a float such as
+    100.5 raises `TypeError` before any range check, an ``n_max`` below 2
+    `ValueError`.
 
     The search bisects [1, n_max].  It relies on I_N being strictly
     decreasing in N, which holds for the exact value and for the float
@@ -387,10 +384,7 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
     near N = 5e6 at d = 100, 1e7 at d = 24 and 3e7 at d = 5.  A crossing
     in that range is not guaranteed to be the first one.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    # integer limits only: a float such as 100.5 raises TypeError
-    n_max = operator.index(n_max)
+    n_max = _integer("n_max", n_max, 2)
     bound = leggett_bound_floor(d, eta)
     value = cglmp_chained_value(d, n_max)
     if value >= bound:
@@ -430,10 +424,10 @@ def _mub_bases(d: int) -> np.ndarray:
     (1989)).  At d = 2 the bases are the eigenbases of Z, X and Y.  At odd
     prime d they are the computational basis and, for k = 0..d-1,
     ``sum_j omega^(k j^2 + x j) |j> / sqrt(d)`` with ``omega = exp(2 pi i/d)``.
-    Any other d raises `ValueError`: prime powers need arithmetic over
+    Any other d >= 2 raises `ValueError`: prime powers need arithmetic over
     GF(p^m), and no complete set is known at d = 6.
     """
-    if d < 2 or any(d % p == 0 for p in range(2, math.isqrt(d) + 1)):
+    if any(d % p == 0 for p in range(2, math.isqrt(d) + 1)):
         raise ValueError(f"d={d} is not prime: complete MUB sets are built for prime d only")
     k, x, j = np.ogrid[:d, :d, :d]
     # phases in units of pi/d, reduced mod 2d in integers so that each is one

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import _integer
 from .leggett import basis_to_bloch
 from .quantum import (
     JointDistribution,
@@ -124,10 +125,7 @@ def random_no_signaling(
     order drawn, from 0.0, so the tensor is bit for bit the one that adding
     a dense array per term gives.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    d, n = _integer("d", d, 2), _integer("n", n, 1)
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
     flat = np.zeros(n * n * d * d)
@@ -202,11 +200,11 @@ def check_agreement_bound(
 ) -> AgreementReport:
     """Check ``P(X_A = Y_B) <= 1 - Delta(P_{X_A}, P_{Y_B})`` at one pair.
 
-    ``a`` and ``b`` are 1-based setting indices; anything but an integer
-    (a bool, a float) is refused.
+    ``a`` and ``b`` are 1-based setting indices; a bool or a float raises
+    `TypeError`, an index outside 1..n `ValueError`.
     """
-    _check_index("setting", "a", a, 1, dist.n)
-    _check_index("setting", "b", b, 1, dist.n)
+    a = _integer("setting index a", a, 1, dist.n)
+    b = _integer("setting index b", b, 1, dist.n)
     block = dist.probs[a - 1, b - 1]
     p_equal = float(block.trace())
     delta = statistical_distance(block.sum(axis=1), block.sum(axis=0))
@@ -214,14 +212,6 @@ def check_agreement_bound(
     return AgreementReport(
         p_equal=p_equal, distance=delta, slack=slack, passed=slack >= -tol
     )
-
-
-def _check_index(kind: str, name: str, index, lo: int, hi: int) -> None:
-    """Refuse an index that is not an integer (a bool, a float) or not in lo..hi."""
-    if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
-        raise ValueError(f"{kind} index {name}={index!r} is not an integer")
-    if not lo <= index <= hi:
-        raise ValueError(f"{kind} index {name}={index} out of range {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -236,18 +226,22 @@ def strategy_chained_value(d: int, alice, bob) -> int:
     """I_N of a deterministic strategy; always an integer.
 
     Outcomes must be integers in 0..d-1.  A side whose array has a float or
-    boolean dtype, or holds a value out of range, raises `ValueError`; the
-    check reads dtype, minimum and maximum, never a Python loop.
+    boolean dtype, or holds a value out of range, raises `ValueError`.  An
+    array is checked by dtype, minimum and maximum; a list or tuple also by
+    the type of each entry, since numpy gives ``[0, True]`` an integer dtype.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _integer("d", d, 2)
     a = np.asarray(alice)
     b = np.asarray(bob)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("alice and bob must be non-empty equal-length outcome sequences")
-    for name, outcomes in (("alice", a), ("bob", b)):
+    for name, side, outcomes in (("alice", alice, a), ("bob", bob, b)):
         if outcomes.dtype.kind not in "iu":
             raise ValueError(f"{name} outcomes are not integers (dtype {outcomes.dtype})")
+        if not isinstance(side, np.ndarray) and any(
+            issubclass(t, (bool, np.bool_)) for t in set(map(type, side))
+        ):
+            raise ValueError(f"{name} outcomes are not integers (an entry is a bool)")
         if outcomes.min() < 0 or outcomes.max() > d - 1:
             raise ValueError(f"{name} outcomes are out of range 0..{d - 1}")
     # the default integer width, so that a - b cannot wrap in a narrow or unsigned dtype
@@ -271,10 +265,7 @@ def lhv_min_chained(d: int, n: int) -> tuple[int, DeterministicStrategy]:
     d - 1).  This is the local-causality floor of Barrett, Kent and
     Pironio, PRL 97, 170409 (2006).
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    d, n = _integer("d", d, 2), _integer("n", n, 1)
     zeros = (0,) * n
     return d - 1, DeterministicStrategy(alice=zeros, bob=zeros)
 
@@ -307,12 +298,13 @@ def deterministic_contradiction(
     unit u can do is ``max_u min(a1.u, a2.u) = (1 + a1.a2)/|a1 + a2| < 1``,
     attained at the normalized bisector.  Equal vectors yield no
     certificate; antipodal vectors give max 0 (gap 1).  The outcomes
-    ``x1`` and ``x2`` are integers in 0..d-1; anything else is refused.
+    ``x1`` and ``x2`` are integers in 0..d-1: a bool or a float raises
+    `TypeError`, an outcome out of range `ValueError`.
     """
     vectors1 = basis_to_bloch(np.asarray(basis1)).vectors
     vectors2 = basis_to_bloch(np.asarray(basis2)).vectors
-    _check_index("outcome", "x1", x1, 0, vectors1.shape[0] - 1)
-    _check_index("outcome", "x2", x2, 0, vectors2.shape[0] - 1)
+    x1 = _integer("outcome index x1", x1, 0, vectors1.shape[0] - 1)
+    x2 = _integer("outcome index x2", x2, 0, vectors2.shape[0] - 1)
     a, b = vectors1[x1], vectors2[x2]
     if np.linalg.norm(a - b) <= 1e-10:
         return ContradictionReport(

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import _integer
+
 __all__ = [
     "ChainedSettings",
     "chained_settings",
@@ -66,8 +68,7 @@ class ChainedSettings:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        object.__setattr__(self, "d", _integer("d", self.d, 2))
         for name in ("alpha", "beta"):
             phases = _as_float_array(getattr(self, name), name)
             if phases.ndim != 1 or phases.size == 0:
@@ -85,8 +86,7 @@ class ChainedSettings:
 
 def chained_settings(d: int, n: int) -> ChainedSettings:
     """Standard chained phases for n settings per side in dimension d."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     idx = np.arange(1, n + 1, dtype=float)
     return ChainedSettings(d, (idx - 0.5) / n, idx / n)
 
@@ -110,8 +110,7 @@ def cglmp_bases(settings: ChainedSettings) -> tuple[np.ndarray, np.ndarray]:
 
 def maximally_entangled(d: int) -> np.ndarray:
     """The state sum_j |jj> / sqrt(d) as a flat d**2 vector."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _integer("d", d, 2)
     return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
@@ -334,10 +333,7 @@ def cglmp_chained_value(d: int, n: int) -> float:
     ``I_N = 2 N sum_m m P_m(1/(2N))``.  Agrees with
     ``chained_value(joint_distribution(...))`` to 1e-10.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    d, n = _integer("d", d, 2), _integer("n", n, 1)
     pm = _difference_probs(d, np.array(1.0 / (2 * n)))
     return float(2 * n * (np.arange(d) * pm).sum())
 
@@ -360,8 +356,7 @@ def gamma_factor(d: int) -> float:
     Relative error against the 40-digit mpmath sum: at most 2.4e-16 over
     d = 2..1000.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _integer("d", d, 2)
     return math.pi**2 * (d * d - 1) / (24 * d)
 
 
@@ -371,6 +366,5 @@ def asymptotic_chained_value(d: int, n: int) -> float:
     The error is ``c2(d)/N^2 + O(1/N^3)`` with c2 as in `gamma_factor`; at
     d=2, where c2 vanishes, it is ``-pi^4/(384 N^3) + O(1/N^5)``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     return 2.0 * gamma_factor(d) / n

@@ -259,8 +259,8 @@ def test_expected_abs_projection_matches_mpmath():
             half = mpmath.mpf(n) / 2
             exact = mpmath.gamma(half) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(half + 0.5))
             rel = abs(float(mpmath.mpf(expected_abs_projection(n)) / exact - 1))
-            # log-gamma below n = 200 errs by up to 1.1e-13, the series by 4e-16
-            assert rel <= (2e-13 if n < 200 else 1e-15), f"n={n}: relative error {rel:.3g}"
+            # the gamma ratio below n = 200 errs by up to 6.7e-16, the series by 4e-16
+            assert rel <= 1e-15, f"n={n}: relative error {rel:.3g}"
 
 
 def test_expected_abs_projection_matches_sampler():

@@ -164,7 +164,7 @@ def test_mc_bound_haar_mode_runs():
 
 
 def _haar_mc_oracle(basis, eta, n_samples, seed):
-    # per-sample Bloch map, drawing the same chunks as leggett_bound_mc
+    # the Bloch map of every state, drawing the same chunks as leggett_bound_mc
     d = basis.d
     diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
     chunks = []
@@ -172,7 +172,7 @@ def _haar_mc_oracle(basis, eta, n_samples, seed):
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
         states = sample_haar_pure(d, substream(seed, len(chunks)), size=m)
-        u = np.stack([state_to_bloch(s) for s in states])
+        u = state_to_bloch(states)
         chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
         done += m
     vals = np.concatenate(chunks)
@@ -449,7 +449,8 @@ def test_find_critical_n_at_the_scan_limit(d, eta):
         assert info.value.gap == cglmp_chained_value(d, n_max) - bound
 
 
-@pytest.mark.parametrize("n_max", [100.0, 100.5])
+# 1.5 once met the range check first and raised ValueError
+@pytest.mark.parametrize("n_max", [100.0, 100.5, 1.5])
 def test_find_critical_n_rejects_non_integer_limit(n_max):
     with pytest.raises(TypeError):
         find_critical_n(3, 1.0, n_max)

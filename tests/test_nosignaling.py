@@ -248,7 +248,7 @@ def test_agreement_bound_random_corpus():
 )
 def test_agreement_bound_refuses_non_integer_settings(a, b, needle):
     dist = JointDistribution(np.full((2, 2, 2, 2), 0.25))
-    with pytest.raises(ValueError, match=f"setting index {needle} is not an integer"):
+    with pytest.raises(TypeError, match=f"setting index {needle} is not an integer"):
         check_agreement_bound(dist, a, b)
 
 
@@ -386,6 +386,22 @@ def test_strategy_chained_value_refuses_bad_outcomes(outcomes, needle):
         strategy_chained_value(3, [0], outcomes)
 
 
+@pytest.mark.parametrize("outcomes", [[0, True], (0, np.True_)])
+def test_strategy_chained_value_refuses_a_bool_among_integers(outcomes):
+    # numpy gives both an integer dtype, and True once counted as outcome 1
+    with pytest.raises(ValueError, match="alice outcomes are not integers"):
+        strategy_chained_value(3, outcomes, [0, 0])
+    with pytest.raises(ValueError, match="bob outcomes are not integers"):
+        strategy_chained_value(3, [0, 0], outcomes)
+
+
+def test_strategy_chained_value_takes_integer_arrays():
+    outcomes = np.array([0, 1, 2])
+    assert strategy_chained_value(3, outcomes, outcomes) == strategy_chained_value(
+        3, [0, 1, 2], [0, 1, 2]
+    )
+
+
 def test_strategy_chained_value_refuses_empty_sequences():
     with pytest.raises(ValueError, match="non-empty"):
         strategy_chained_value(3, [], [])
@@ -467,7 +483,8 @@ def test_contradiction_antipodal_qubit():
 )
 def test_contradiction_refuses_bad_outcome_indices(x1, x2, needle):
     alice, _ = cglmp_bases(chained_settings(3, 2))
-    with pytest.raises(ValueError, match=f"outcome index {needle}"):
+    error = TypeError if needle.endswith("is not an integer") else ValueError
+    with pytest.raises(error, match=f"outcome index {needle}"):
         deterministic_contradiction(alice[0], alice[1], x1, x2)
 
 
