@@ -162,17 +162,25 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _unit_rows(draw, m: int) -> np.ndarray:
-    """``draw(m)`` with unit rows.  While k rows are below 1e-12 in norm,
-    they are replaced by the rows of ``draw(k)``."""
-    x = draw(m)
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        x[bad] = draw(int(bad.sum()))
-        norms = np.linalg.norm(x, axis=1)
-    x /= norms[:, None]
-    return x
+def _normal_rows(rng: np.random.Generator, m: int, n: int, parts: int = 1) -> list[np.ndarray]:
+    """``parts`` arrays of (m, n) standard normals whose joint rows (row i
+    of every part) are none below 1e-12 in norm.
+
+    Each part is one ``rng.standard_normal((m, n))`` call, part 0 first.
+    While k joint rows are below 1e-12 in norm, each part's k rows are
+    replaced, in the same order, by one more ``(k, n)`` call.
+    """
+    xs = [rng.standard_normal((m, n)) for _ in range(parts)]
+    while True:
+        # a row that small has a first entry below 1e-12 too, so only such
+        # rows (almost never any) have their norms taken
+        rows = np.flatnonzero(np.abs(xs[0][:, 0]) < 1e-12)
+        joint = np.concatenate([x[rows] for x in xs], axis=1)
+        bad = rows[np.linalg.norm(joint, axis=1) < 1e-12]
+        if not bad.size:
+            return xs
+        for x in xs:
+            x[bad] = rng.standard_normal((bad.size, n))
 
 
 def sample_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -184,19 +192,24 @@ def sample_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> 
     """
     n = _integer("n", n, 1)
     m = 1 if size is None else _integer("size", size, 0)
-    x = _unit_rows(lambda k: rng.standard_normal((k, n)), m)
+    (x,) = _normal_rows(rng, m, n)
+    x /= np.linalg.norm(x, axis=1)[:, None]
     return x[0] if size is None else x
 
 
 def sample_haar_pure(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar-random pure states: normalized complex Gaussian amplitudes.
 
-    Returns shape (d,) when ``size`` is None, else (size, d).
+    Returns shape (d,) when ``size`` is None, else (size, d).  For m rows
+    (1 when ``size`` is None) the real parts come from one
+    ``rng.standard_normal((m, d))`` call, then the imaginary parts from a
+    second.  While k rows are below 1e-12 in norm, they are redrawn the
+    same way, real parts first, by two ``(k, d)`` calls.
     """
     d = _integer("d", d, 2)
     m = 1 if size is None else _integer("size", size, 0)
-    z = _unit_rows(
-        lambda k: rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)), m
-    )
+    re, im = _normal_rows(rng, m, d, parts=2)
+    z = re + 1j * im
+    z /= np.linalg.norm(z, axis=1)[:, None]
     return z[0] if size is None else z
 

@@ -37,9 +37,9 @@ import numpy as np
 
 from .bloch import (
     _integer,
+    _normal_rows,
     bloch_to_density,
     expected_abs_projection,
-    sample_haar_pure,
     sample_sphere,
     state_to_bloch,
     substream,
@@ -175,6 +175,25 @@ def _difference_matrix(basis: MeasurementBasisBloch) -> np.ndarray:
     return basis.vectors - np.roll(basis.vectors, 1, axis=0)
 
 
+def _outcome_states(basis: MeasurementBasisBloch) -> np.ndarray:
+    """The outcome states of ``basis`` as rows, each up to a phase.
+
+    ``rho(a^x) = |a_x><a_x|`` has column j equal to ``a_x conj(a_x[j])``, so
+    the column of its largest diagonal entry, divided by that entry's
+    square root, is a_x times a phase.  Outcome vectors whose ``rho(a^x)``
+    is not rank one to 1e-9 (unit Bloch vectors that are not pure states,
+    possible from d = 3 up) raise `ValueError`.
+    """
+    rho = bloch_to_density(basis.vectors)
+    x = np.arange(basis.d)
+    diag = rho.diagonal(axis1=1, axis2=2).real
+    j = diag.argmax(axis=1)
+    states = rho[x, :, j] / np.sqrt(diag[x, j])[:, None]
+    if np.abs(states[:, :, None] * states[:, None, :].conj() - rho).max() > 1e-9:
+        raise ValueError("outcome vectors are not pure states")
+    return states
+
+
 def _mc_block_rows(macs_per_row: int) -> int:
     """Rows per Monte Carlo block: ``_MC_BLOCK`` multiply-adds, at least 64 rows.
 
@@ -216,12 +235,13 @@ def leggett_bound_mc(
     squares.
 
     Both modes work a chunk in blocks of ``max(64, 2**18 // c)`` rows,
-    where c is the multiply-add count of one row's projection:
-    (d^2 - 1) d for sphere-uniform and d^3 for Haar-pure.  Up to d = 16 a
-    block's product has at most 2**18 multiply-adds, which OpenBLAS runs in
-    the calling thread; from d = 17 up the 64-row floor binds, so that one
-    pass over the block's right-hand operand serves 64 samples rather than
-    a handful.
+    where c is the multiply-add count of one row in one block product:
+    (d^2 - 1) d for sphere-uniform and 2 d^2 for Haar-pure.  Where the
+    row count is above the floor, every product has at most 2**18
+    multiply-adds, which OpenBLAS runs in the calling thread; the 64-row
+    floor binds from d = 17 up for sphere-uniform and from d = 46 up for
+    Haar-pure, so that one pass over the block's right-hand operand serves
+    64 samples rather than a handful.
 
     Sphere-uniform blocks are drawn one `sample_sphere` call each.  Where
     the floor binds, a block's projection onto the d difference vectors is
@@ -235,68 +255,87 @@ def leggett_bound_mc(
     falls below 1e-12 (probability below 1e-30 per row) happens after that
     row's block rather than after the whole chunk.
 
-    Haar-pure states are never mapped to Bloch vectors.  By the projection
-    rule ``Tr(rho(a) |psi><psi|) = [1 + (d-1) a.u] / d`` each step is an
-    expectation value,
+    Haar-pure states are never built as complex arrays, never normalized
+    and never mapped to Bloch vectors.  A sample is a raw complex Gaussian
+    row z, held as its real and imaginary parts.  By the projection rule
+    ``Tr(rho(a) rho(u)) = [1 + (d-1) a.u] / d`` each step is
 
-        (a^x - a^{x-1}) . u = <psi| H_x |psi> ,
-        H_x = d/(d-1) (rho(a^x) - rho(a^{x-1})) ,
+        (a^x - a^{x-1}) . u = d/(d-1) (p_x - p_{x-1}) ,
+        p_x = |<a_x|z>|^2 / |z|^2 ,
 
-    so the d Hermitian ``H_x`` are built once per call, stacked side by
-    side as one (d, d^2) operator.  A block of states costs one
-    (rows, d) x (d, d^2) complex product, which gives every ``H_x psi``,
-    and one contraction with the conjugate states.  Where the floor binds,
-    OpenBLAS may split that product over its threads; its inner dimension
+    so a sample's value is ``eta/d sum_x |p_x - p_{x-1}|``, taken over the
+    unnormalized squared moduli and divided once by ``|z|^2``.  The outcome
+    states a_x are recovered once per call from the rank-one
+    ``rho(a^x)`` (`_outcome_states`; a basis whose outcome vectors are not
+    pure states raises `ValueError`).  A block costs two real
+    (2d, d) x (d, rows) products, one with the real and one with the
+    imaginary parts of its rows as columns, whose sum holds Re and Im of
+    every ``<a_x|z>``, one column per sample: d times fewer multiply-adds
+    than applying d step operators to complex states.  Where the floor binds,
+    OpenBLAS may split such a product over its threads; its inner dimension
     is only d, so each entry is still one unbroken sum, and the estimate at
-    d = 20 reads the same bits under one and two BLAS threads (tested).
-    Haar chunks are drawn whole, because `sample_haar_pure` draws all real
-    parts of a chunk before all imaginary parts and drawing in blocks would
-    change the stream.  A chunk peaks at about 35 d bytes per sample
-    (tracemalloc: 13.7 MiB at d = 6, 41 MiB at d = 20); a block's products
-    add at most ``max(4 MiB / d, 1 KiB d^2)``.
+    d = 51 reads the same bits under one and two BLAS threads (tested).
+    Haar chunks are drawn whole, as `sample_haar_pure` draws them: all real
+    parts of a chunk before all imaginary parts, so drawing in blocks would
+    change the stream.  A chunk peaks at about 16 d + 24 bytes per sample
+    (its two parts, their squared norms and the values), plus a block's
+    arrays of at most 6 MiB / d (tracemalloc: 7.7 MiB at d = 6, 21 MiB at
+    d = 20 and 102 MiB at d = 100, against 13.0, 41 and 239 MiB while the
+    states were built complex and normalized).
     """
     if model.d != basis.d:
         raise ValueError("model and basis dimensions differ")
     d = basis.d
-    coef = model.eta * (d - 1) / d**2
-    diffs = _difference_matrix(basis)
     n_samples = _integer("n_samples", n_samples, 1)
     seed = _integer("seed", seed)
-    n_dim = d * d - 1
     haar = model.u_mode == "haar-pure"
     if haar:
-        rho = bloch_to_density(basis.vectors)
-        steps = d / (d - 1) * (rho - np.roll(rho, 1, axis=0))
-        # column x d + r is row r of H_x, so psi @ stacked holds every H_x psi
-        stacked = steps.reshape(d * d, d).T
-        rows = _mc_block_rows(d**3)
+        coef = model.eta / d
+        states = _outcome_states(basis)
+        # row x of w_re @ re.T + w_im @ im.T is Re <a_x|z>, row d + x Im <a_x|z>
+        w_re = np.concatenate([states.real, -states.imag])
+        w_im = np.concatenate([states.imag, states.real])
+        rows = _mc_block_rows(2 * d * d)
     else:
+        coef = model.eta * (d - 1) / d**2
+        n_dim = d * d - 1
+        diffs = _difference_matrix(basis)
         rows = _mc_block_rows(n_dim * d)
         # coordinates per product, so that each stays within _MC_BLOCK
         # multiply-adds: all of them unless the floor binds
         span = max(1, _MC_BLOCK // (rows * d))
 
-    def block_values(gen, states, lo: int, k: int) -> np.ndarray:
+    def block_values(gen, draws, lo: int, k: int) -> np.ndarray:
         # a function, so that a block's arrays are freed before the next draw
         if haar:
-            psi = states[lo : lo + k]
-            w = (psi @ stacked).reshape(k, d, d)
-            proj = np.einsum("ij,ixj->ix", psi.conj(), w).real
-        else:
-            u = sample_sphere(n_dim, gen, size=k)
-            proj = u[:, :span] @ diffs[:, :span].T
-            for c in range(span, n_dim, span):
-                proj += u[:, c : c + span] @ diffs[:, c : c + span].T
+            re, im, sq = draws
+            # one column per sample, so every elementwise pass runs along
+            # rows of length k
+            amp = w_re @ re[lo : lo + k].T
+            amp += w_im @ im[lo : lo + k].T
+            amp *= amp
+            q = amp[:d] + amp[d:]  # |<a_x|z>|^2
+            q -= np.roll(q, 1, axis=0)
+            np.abs(q, out=q)
+            return coef * q.sum(axis=0) / sq[lo : lo + k]
+        u = sample_sphere(n_dim, gen, size=k)
+        proj = u[:, :span] @ diffs[:, :span].T
+        for c in range(span, n_dim, span):
+            proj += u[:, c : c + span] @ diffs[:, c : c + span].T
         return coef * np.abs(proj).sum(axis=1)
 
     def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
         gen = substream(seed, i)
-        states = sample_haar_pure(d, gen, size=m) if haar else None
+        if haar:
+            re, im = _normal_rows(gen, m, d, parts=2)
+            draws = re, im, np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+        else:
+            draws = None
         vals = np.empty(m)
         for lo in range(0, m, rows):
             k = min(rows, m - lo)
-            vals[lo : lo + k] = block_values(gen, states, lo, k)
+            vals[lo : lo + k] = block_values(gen, draws, lo, k)
         total = float(vals.sum())
         vals -= total / m  # deviations from the chunk mean
         # einsum's own loop, not BLAS: np.dot splits long vectors over

@@ -189,10 +189,13 @@ def _haar_mc_oracle(basis, eta, n_samples, seed):
         (6, 1.0, 3000, 15),
         (3, 1.0, _MC_CHUNK + 4000, 16),
         (4, 0.9, 5000, 17),
-        # d^3 = 8000 multiply-adds per row: 64-row blocks, the floor
         (20, 1.0, 63, 18),
         (20, 0.8, 65, 19),
         (20, 1.0, 129, 17),
+        # two 3640-row blocks at d = 6; 64-row blocks, the floor, from d = 46
+        (6, 0.9, 3641, 20),
+        (46, 1.0, 65, 21),
+        (51, 0.6, 129, 22),
     ],
 )
 def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, seed):
@@ -203,6 +206,18 @@ def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, seed):
     assert est.samples == n_samples
     assert est.value == pytest.approx(value, rel=1e-12, abs=0)
     assert est.std_error == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
+def test_mc_bound_haar_refuses_outcome_vectors_that_are_not_states():
+    # a sign flip of one coordinate keeps every Gram check of the CGLMP
+    # basis at d = 3, but no outcome vector is a pure state any more
+    vectors = _cglmp_basis(3).vectors.copy()
+    vectors[:, 0] *= -1.0
+    basis = MeasurementBasisBloch(vectors)
+    basis.validate()
+    leggett_bound_mc(basis, LocalModel(d=3), 100, 5)
+    with pytest.raises(ValueError, match="not pure states"):
+        leggett_bound_mc(basis, LocalModel(d=3, u_mode="haar-pure"), 100, 5)
 
 
 def _sphere_mc_oracle(basis, eta, n_samples, seed):
@@ -266,8 +281,9 @@ _BLAS_PROBE = """
 from cryptononlocal.leggett import LocalModel, basis_to_bloch, leggett_bound_mc
 from cryptononlocal.quantum import cglmp_bases, chained_settings
 cases = [(d, mode, 65536) for d in range(2, 6) for mode in ("sphere-uniform", "haar-pure")]
-# 64-row blocks, whose products OpenBLAS may split over its threads
-cases += [(20, "haar-pure", 256), (51, "sphere-uniform", 130)]
+# 64-row blocks, whose products OpenBLAS may split over its threads (at d = 20
+# only sphere-uniform ones; Haar-pure ones from d = 46)
+cases += [(20, "haar-pure", 256), (51, "sphere-uniform", 130), (51, "haar-pure", 130)]
 for d, mode, n_samples in cases:
     basis = basis_to_bloch(cglmp_bases(chained_settings(d, 1))[0][0])
     est = leggett_bound_mc(basis, LocalModel(d=d, u_mode=mode), n_samples, 7)
@@ -294,7 +310,7 @@ def test_mc_bound_same_for_any_blas_thread_count():
         )
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert outputs[0].count("\n") == 10
+    assert outputs[0].count("\n") == 11
     assert outputs[0] == outputs[1]
 
 

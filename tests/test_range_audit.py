@@ -7,12 +7,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from cryptononlocal.bloch import bloch_to_density, state_to_bloch  # noqa: E402
+from cryptononlocal.leggett import _outcome_states, basis_to_bloch  # noqa: E402
 from cryptononlocal.quantum import (  # noqa: E402
     ChainedSettings,
     closed_form_probs,
     joint_distribution,
     maximally_entangled,
 )
+from helpers import haar_unitary  # noqa: E402
 
 
 @st.composite
@@ -39,3 +42,80 @@ def test_closed_form_probs_matches_born_rule_at_any_finite_phase(settings):
     # the Born-rule path validates its tensor, no-signaling included
     born = joint_distribution(maximally_entangled(settings.d), settings)
     assert np.abs(closed_form_probs(settings).probs - born.probs).max() <= 1e-12
+
+
+# d up to 100, the largest the API is documented for; a few dozen examples
+# keep the three tests below under two seconds together
+_AUDIT = hypothesis.settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate, hypothesis.Phase.shrink],
+)
+_dims = st.integers(min_value=2, max_value=100)
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _pure_states(rng, k, d):
+    # normalized complex Gaussian rows, drawn without the library's samplers
+    z = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+@_AUDIT
+@hypothesis.given(d=_dims, seed=_seeds)
+@hypothesis.example(d=2, seed=0)
+@hypothesis.example(d=100, seed=0)
+def test_state_to_bloch_and_bloch_to_density_round_trip(d, seed):
+    psi = _pure_states(np.random.default_rng(seed), 4, d)
+    u = state_to_bloch(psi)
+    rho = bloch_to_density(u)
+    assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(rho - psi[:, :, None] * psi[:, None, :].conj()).max() <= 1e-15
+    # and back: the top eigenvector of rho(u) maps to u again
+    top = np.linalg.eigh(rho)[1][:, :, -1]
+    assert np.abs(state_to_bloch(top) - u).max() <= 1e-14
+
+
+@_AUDIT
+@hypothesis.given(d=_dims, seed=_seeds)
+@hypothesis.example(d=2, seed=0)
+@hypothesis.example(d=100, seed=0)
+def test_projection_rule(d, seed):
+    # Tr(rho(a) rho(u)) = [1 + (d-1) a.u] / d for any coordinates, and for
+    # pure states it is their overlap |<psi|phi>|^2
+    rng = np.random.default_rng(seed)
+    psi, phi = _pure_states(rng, 4, d), _pure_states(rng, 4, d)
+    a, u = state_to_bloch(psi), state_to_bloch(phi)
+    overlap = np.abs(np.einsum("ij,ij->i", psi.conj(), phi)) ** 2
+    rule = (1.0 + (d - 1) * np.einsum("ij,ij->i", a, u)) / d
+    trace = np.einsum("kij,kji->k", bloch_to_density(a), bloch_to_density(u))
+    assert np.abs(rule - overlap).max() <= 1e-15
+    assert np.abs(trace - overlap).max() <= 1e-15
+    x, y = rng.standard_normal((2, 4, d * d - 1))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    y *= rng.uniform(0.0, 1.0, (4, 1)) / np.linalg.norm(y, axis=1)[:, None]
+    trace = np.einsum("kij,kji->k", bloch_to_density(x), bloch_to_density(y))
+    rule = (1.0 + (d - 1) * np.einsum("ij,ij->i", x, y)) / d
+    assert np.abs(trace - rule).max() <= 1e-14
+
+
+@_AUDIT
+@hypothesis.given(d=_dims, seed=_seeds, eta=st.floats(min_value=0.01, max_value=1.0))
+@hypothesis.example(d=2, seed=0, eta=1.0)
+@hypothesis.example(d=100, seed=0, eta=1.0)
+def test_outcome_states_reproduce_the_bloch_map(d, seed, eta):
+    # the Haar-pure Monte Carlo reads p_x = |<a_x|psi>|^2 off the states
+    # recovered from rho(a^x); a sample's value eta/d sum_x |p_x - p_{x-1}|
+    # must equal the Bloch map's eta (d-1)/d^2 sum_x |(a^x - a^{x-1}) . u|
+    rng = np.random.default_rng(seed)
+    unitary = haar_unitary(d, rng)
+    basis = basis_to_bloch(unitary)
+    psi = _pure_states(rng, 8, d)
+    probs = np.abs(psi @ _outcome_states(basis).conj().T) ** 2
+    assert np.abs(probs - np.abs(psi @ unitary.conj().T) ** 2).max() <= 1e-14
+    diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
+    bloch_map = eta * (d - 1) / d**2 * np.abs(state_to_bloch(psi) @ diffs.T).sum(axis=1)
+    value = eta / d * np.abs(probs - np.roll(probs, 1, axis=1)).sum(axis=1)
+    assert np.abs(value - bloch_map).max() <= 1e-14
