@@ -326,6 +326,38 @@ def _chain_weights(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights
 
 
+def _chained_values(d: int, ns) -> np.ndarray:
+    """``I_N = 2 N sum_m m P_m(1/(2N))`` for each N in ``ns``, in one pass.
+
+    ``ns`` holds Python integers >= 1 (checked by the caller); each value is
+    the one `_difference_probs` gives at ``f = 1/(2N)``, bit for bit, at
+    any N and whatever the length of ``ns``.  There f lies in (0, 1/2], so
+    ``theta = f + m`` lies in (0, d - 1/2] and the two branches of that
+    kernel are no-ops:
+
+    * its reduction moves theta only within 1/4 of a nonzero multiple of d,
+      which theta never reaches (elsewhere it subtracts ``d * 0``);
+    * its limit mask can only catch m = 0, the term of weight 0 in
+      ``sum_m m P_m``, as every m >= 1 sits at least 1/2 from a multiple
+      of d.
+
+    So the same ufuncs run in the same order over a ``(len(ns), d)`` array,
+    with the m = 0 denominator set to 1 (so that N = 1e200, where
+    ``sin^2(pi f/d)`` underflows, gives no 0/0).  The m = 0 column stays in
+    each row's sum: dropping it would shift numpy's pairwise summation and
+    the last bits with it.  2N is rounded from the Python int, not cast to
+    int64, so N past 2**63 works and 2N past the float range raises
+    `OverflowError`, as ``1.0 / (2 * n)`` does.
+    """
+    two_n = np.array([float(2 * n) for n in ns])
+    pi_theta = np.pi * ((1.0 / two_n)[:, None] + np.arange(d))
+    den = np.sin(pi_theta / d) ** 2
+    den[:, 0] = 1.0
+    num = np.sin(pi_theta) ** 2
+    pm = num / (d * d * den)
+    return two_n * (np.arange(d) * pm).sum(axis=1)
+
+
 def cglmp_chained_value(d: int, n: int) -> float:
     """Exact I_N on the maximally entangled state, fast closed form.
 
@@ -334,8 +366,7 @@ def cglmp_chained_value(d: int, n: int) -> float:
     ``chained_value(joint_distribution(...))`` to 1e-10.
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
-    pm = _difference_probs(d, np.array(1.0 / (2 * n)))
-    return float(2 * n * (np.arange(d) * pm).sum())
+    return float(_chained_values(d, [n])[0])
 
 
 def gamma_factor(d: int) -> float:

@@ -136,16 +136,18 @@ def test_sweep_critical_table_monotone(capsys):
 
 
 def test_sweep_critical_rows_take_i_n_from_the_search(monkeypatch):
-    # the i_n column is the I_N the bisection accepted at N_crit, bit for bit
+    # the i_n column is the I_N the search compared at N_crit, bit for bit,
+    # though the search evaluates whole rounds of N and the row one N
     from cryptononlocal import leggett, quantum
 
     seen = {}
 
-    def recording(d, n):
-        seen[d, n] = value = quantum.cglmp_chained_value(d, n)
-        return value
+    def recording(d, ns):
+        values = quantum._chained_values(d, ns)
+        seen.update(((d, n), v) for n, v in zip(ns, values))
+        return values
 
-    monkeypatch.setattr(leggett, "cglmp_chained_value", recording)
+    monkeypatch.setattr(leggett, "_chained_values", recording)
     rows = cli._sweep_rows(3, (2, 6), [0.5, 0.7, 0.9, 1.0], (2, 1000))
     assert len(rows) == 5 * 4
     for r in rows:

@@ -472,20 +472,29 @@ def test_find_critical_n_rejects_non_integer_limit(n_max):
         find_critical_n(3, 1.0, n_max)
 
 
+def _round_budget(n_max):
+    """ceil(log_{K+1} n_max) + 1 kernel calls: the check of I_{n_max} and
+    the rounds of K interior points, counted in integers."""
+    rounds = 0
+    while (leggett._ROUND + 1) ** rounds < n_max:
+        rounds += 1
+    return rounds + 1
+
+
 @pytest.mark.parametrize("n_max", [2, 3, 17, 1000, 100_000])
 def test_find_critical_n_bisects_in_log_evaluations(monkeypatch, n_max):
     # a synthetic strictly decreasing I_N equal to the floor at N = k - 1,
     # so the first violation is at k; k = n_max + 1 means none up to n_max
     bound = leggett_bound_floor(3)
-    budget = math.ceil(math.log2(n_max)) + 1
+    budget = _round_budget(n_max)
     for k in sorted({1, 2, n_max // 2, n_max, n_max + 1}):
         calls = []
 
-        def fake(d, n):
-            calls.append(n)
-            return bound + (k - 1 - n)
+        def fake(d, ns):
+            calls.append(list(ns))
+            return bound + (k - 1 - np.array(ns, dtype=float))
 
-        monkeypatch.setattr(leggett, "cglmp_chained_value", fake)
+        monkeypatch.setattr(leggett, "_chained_values", fake)
         if k <= n_max:
             assert find_critical_n(3, 1.0, n_max) == k
         else:
@@ -493,21 +502,52 @@ def test_find_critical_n_bisects_in_log_evaluations(monkeypatch, n_max):
                 find_critical_n(3, 1.0, n_max)
             assert info.value.gap == 0.0
         assert len(calls) <= budget
+        assert all(len(ns) <= leggett._ROUND for ns in calls)
 
 
 @pytest.mark.parametrize("d,eta", [(3, 1.0), (24, 0.5)])
 def test_find_critical_n_evaluation_count(monkeypatch, d, eta):
     calls = []
+    kernel = leggett._chained_values
 
-    def counted(d, n):
-        calls.append(n)
-        return cglmp_chained_value(d, n)
+    def counted(d, ns):
+        calls.append(list(ns))
+        return kernel(d, ns)
 
-    monkeypatch.setattr(leggett, "cglmp_chained_value", counted)
+    monkeypatch.setattr(leggett, "_chained_values", counted)
     n = find_critical_n(d, eta, 100_000)
-    assert len(calls) <= math.ceil(math.log2(100_000)) + 1
+    assert 1 < len(calls) <= _round_budget(100_000)
+    assert all(len(ns) <= leggett._ROUND for ns in calls)
     bound = leggett_bound_floor(d, eta)
     assert cglmp_chained_value(d, n) < bound <= cglmp_chained_value(d, n - 1)
+
+
+def _bisection_oracle(d, eta, n_max):
+    """The bisection over `cglmp_chained_value` that the rounds replaced."""
+    bound = leggett_bound_floor(d, eta)
+    assert cglmp_chained_value(d, n_max) < bound
+    lo, hi = 0, n_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cglmp_chained_value(d, mid) < bound:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "d,eta,n_max",
+    [(d, eta, 100_000) for d in range(2, 25) for eta in (0.5, 0.7, 0.9, 1.0)]
+    # past int64 the grid points stay Python ints
+    + [(100, 0.5, 10**6), (24, 0.5, 10**20), (100, 0.5, 10**20), (5, 1.0, 2**63 + 5)],
+)
+def test_find_critical_n_matches_bisection_oracle(d, eta, n_max):
+    assert find_critical_n(d, eta, n_max) == _bisection_oracle(d, eta, n_max)
+
+
+def test_find_critical_n_at_d100_half_purity():
+    assert find_critical_n(100, 0.5, 10**6) == 830_693
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 24])

@@ -10,6 +10,7 @@ from cryptononlocal.nosignaling import check_no_signaling, random_no_signaling
 from cryptononlocal.quantum import (
     ChainedSettings,
     JointDistribution,
+    _chained_values,
     _difference_probs,
     asymptotic_chained_value,
     cglmp_bases,
@@ -188,6 +189,41 @@ def test_chained_value_strictly_decreasing(d):
     values = [cglmp_chained_value(d, n) for n in range(2, 41)]
     assert all(v > 0 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _kernel_grid(d):
+    """About 500 N per dimension: 1..300, random N up to 1e15, and N where
+    1/(2N) or 2N sit at the edges of the float and int64 ranges."""
+    rng = np.random.default_rng(d)
+    ns = list(range(1, 301)) + [int(n) for n in rng.integers(1, 10**15, 190)]
+    return ns + [2**53 + 1, 10**17 + 3, 10**19, 2**63 + 1, 10**25, 10**200]
+
+
+def _scalar_chained_value(d, n):
+    # 2N sum_m m P_m(1/(2N)) through the general-phase kernel
+    return 2 * n * (np.arange(d) * _difference_probs(d, np.array(1.0 / (2 * n)))).sum()
+
+
+@pytest.mark.parametrize("d", [*range(2, 40), 47, 64, 97, 100])
+def test_chained_values_equal_the_difference_probs_sum_bit_for_bit(d):
+    # the search compares rows of 16 where the CLI prints one value, so every
+    # slice length must give the same bits as the general-phase kernel
+    ns = _kernel_grid(d)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        expected = np.array([_scalar_chained_value(d, n) for n in ns])
+        assert np.array_equal([cglmp_chained_value(d, n) for n in ns], expected)
+        assert np.array_equal(_chained_values(d, ns), expected)
+        for size in (5, 16, 17, 33):
+            for lo in range(0, len(ns), 61):
+                part = _chained_values(d, ns[lo : lo + size])
+                assert np.array_equal(part, expected[lo : lo + size])
+
+
+def test_chained_value_past_the_float_range_raises_as_before():
+    with pytest.raises(OverflowError):
+        _scalar_chained_value(3, 10**308)
+    with pytest.raises(OverflowError):
+        cglmp_chained_value(3, 10**308)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
