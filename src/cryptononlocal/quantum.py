@@ -331,9 +331,12 @@ def _chained_values(d: int, ns) -> np.ndarray:
 
     ``ns`` holds Python integers >= 1 (checked by the caller); each value is
     the one `_difference_probs` gives at ``f = 1/(2N)``, bit for bit, at
-    any N and whatever the length of ``ns``.  There f lies in (0, 1/2], so
-    ``theta = f + m`` lies in (0, d - 1/2] and the two branches of that
-    kernel are no-ops:
+    any N and whatever the length of ``ns``.  It is not a row sum over that
+    kernel because it is faster: `find_critical_n` over such a row sum cut
+    the median ``critical-scan`` job by a third, over this one by over half.
+
+    At f = 1/(2N), f lies in (0, 1/2], so ``theta = f + m`` lies in
+    (0, d - 1/2] and the two branches of `_difference_probs` are no-ops:
 
     * its reduction moves theta only within 1/4 of a nonzero multiple of d,
       which theta never reaches (elsewhere it subtracts ``d * 0``);

@@ -419,6 +419,7 @@ def test_analytic_bound_sits_above_its_floor(d):
 def test_find_critical_n():
     assert find_critical_n(2, 1.0, 100) == 5
     assert find_critical_n(3, 1.0, 100) == 15
+    assert find_critical_n(100, 0.5, 10**6) == 830_693
 
 
 def test_find_critical_n_low_purity():
@@ -544,10 +545,6 @@ def _bisection_oracle(d, eta, n_max):
 )
 def test_find_critical_n_matches_bisection_oracle(d, eta, n_max):
     assert find_critical_n(d, eta, n_max) == _bisection_oracle(d, eta, n_max)
-
-
-def test_find_critical_n_at_d100_half_purity():
-    assert find_critical_n(100, 0.5, 10**6) == 830_693
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 24])
