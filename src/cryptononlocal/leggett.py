@@ -44,7 +44,7 @@ from .bloch import (
     state_to_bloch,
     substream,
 )
-from .quantum import ChainedSettings, _chained_values, cglmp_bases
+from .quantum import ChainedSettings, _chained_values, cglmp_bases, gamma_factor
 
 __all__ = [
     "MeasurementBasisBloch",
@@ -412,18 +412,22 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
     100.5 raises `TypeError` before any range check, an ``n_max`` below 2
     `ValueError`.
 
-    I_{n_max} is evaluated first; if it is not below the floor,
-    `CriticalNotFoundError` carries ``gap = I_{n_max} - bound``.  The search
-    then keeps an interval (lo, hi] with I_lo >= bound (I_0 taken as +inf)
-    and I_hi < bound, and in each round evaluates I_N at up to 16 evenly
-    spaced interior points in one numpy pass, moving to the gap where the
-    values first fall below the bound.  A gap of at most 17 has all its
-    interior points evaluated, so the result is exact.  There are at most
-    ceil(log17 n_max) rounds: 3 at n_max = 1000, and 4 or 5 at 100 000
-    (over d = 2..24 and eta = 0.5, 0.7, 0.9, 1.0), against 10 and 17
-    bisection steps.  A round costs ~15 us at d <= 24, a scalar
-    `cglmp_chained_value` call ~12 us (2-core VM), so d up to ~100 is
-    cheap (N_crit = 830 693 at d = 100, eta = 0.5, in ~0.25 ms).
+    The first numpy pass evaluates I_{n_max} together with the 15
+    consecutive N from floor(2 gamma/L) - 6 to floor(2 gamma/L) + 8 (clamped
+    into [1, n_max - 1]), where L is the floor and gamma is `gamma_factor`:
+    since ``N I_N = 2 gamma + c2/N + ...`` with 0 <= c2/(2 gamma) < 0.73
+    for d <= 100, N_crit sits just above 2 gamma/L (by 0.07 to 1.70 over
+    d = 2..100 and eta = 0.1, 0.5, 0.7, 0.9, 1.0, wherever N_crit <= 1e6).
+    If I_{n_max} is not below the floor, `CriticalNotFoundError` carries
+    ``gap = I_{n_max} - bound``.  The search keeps an interval (lo, hi]
+    with I_lo >= bound (I_0 taken as +inf) and I_hi < bound, and after
+    each pass moves to the gap where the values first fall below the
+    bound.  Wherever the float I_N decreases strictly, the window holds the
+    crossing and that one pass is the whole search (~20-50 us at d <= 100,
+    2-core VM).  Otherwise later passes evaluate up to 16 evenly spaced
+    interior points of the interval each; a gap of at most 17 has all its
+    interior points evaluated, so the result is exact, and there are at
+    most ceil(log17 n_max) + 1 passes in all, as before the window.
 
     The search relies on I_N being strictly decreasing in N, which holds
     for the exact value and for the float I_N over the range a scan could
@@ -438,7 +442,12 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
     n_max = _integer("n_max", n_max, 2)
     d = _integer("d", d, 2)
     bound = leggett_bound_floor(d, eta)
-    value = float(_chained_values(d, [n_max])[0])
+    # N I_N = 2 gamma + c2/N + ..., so the crossing lies just above 2 gamma/L
+    # (at 0.0, where the floor underflowed, I_{n_max} decides alone)
+    guess = int(min(2.0 * gamma_factor(d) / bound, n_max)) if bound else n_max
+    grid = list(range(max(guess - 6, 1), min(guess + 9, n_max)))
+    values = _chained_values(d, grid + [n_max])
+    value = float(values[-1])
     if value >= bound:
         raise CriticalNotFoundError(
             f"no violation for d={d}, eta={eta} up to N={n_max}; "
@@ -447,16 +456,18 @@ def find_critical_n(d: int, eta: float = 1.0, n_max: int = 1000) -> int:
         )
     # invariant: I_lo >= bound (I_0 taken as +inf) and I_hi < bound
     lo, hi = 0, n_max
-    while hi - lo > 1:
+    while True:
+        below = values[: len(grid)] < bound
+        first = int(below.argmax()) if below.any() else len(grid)
+        lo, hi = ([lo] + grid)[first], (grid + [hi])[first]
+        if hi - lo <= 1:
+            return hi
         width = hi - lo
         if width <= _ROUND + 1:
             grid = list(range(lo + 1, hi))
         else:
             grid = [lo + width * j // (_ROUND + 1) for j in range(1, _ROUND + 1)]
-        below = _chained_values(d, grid) < bound
-        first = int(below.argmax()) if below.any() else len(grid)
-        lo, hi = ([lo] + grid)[first], (grid + [hi])[first]
-    return hi
+        values = _chained_values(d, grid)
 
 
 @dataclass(frozen=True, eq=False)

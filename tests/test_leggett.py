@@ -37,6 +37,7 @@ from cryptononlocal.quantum import (
     cglmp_chained_value,
     chained_settings,
     chained_value,
+    gamma_factor,
     joint_from_bases,
     maximally_entangled,
 )
@@ -506,8 +507,9 @@ def test_find_critical_n_bisects_in_log_evaluations(monkeypatch, n_max):
         assert all(len(ns) <= leggett._ROUND for ns in calls)
 
 
-@pytest.mark.parametrize("d,eta", [(3, 1.0), (24, 0.5)])
-def test_find_critical_n_evaluation_count(monkeypatch, d, eta):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The N list of every `_chained_values` call the search makes."""
     calls = []
     kernel = leggett._chained_values
 
@@ -516,11 +518,60 @@ def test_find_critical_n_evaluation_count(monkeypatch, d, eta):
         return kernel(d, ns)
 
     monkeypatch.setattr(leggett, "_chained_values", counted)
-    n = find_critical_n(d, eta, 100_000)
-    assert 1 < len(calls) <= _round_budget(100_000)
-    assert all(len(ns) <= leggett._ROUND for ns in calls)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d,eta", [(d, eta) for d in range(2, 101) for eta in (0.1, 0.5, 0.7, 0.9, 1.0)]
+)
+def test_find_critical_n_evaluation_count(kernel_calls, d, eta):
+    # the first pass, I_{n_max} and 15 N around 2 gamma/L, holds the crossing
     bound = leggett_bound_floor(d, eta)
-    assert cglmp_chained_value(d, n) < bound <= cglmp_chained_value(d, n - 1)
+    for n_max in (10**3, 10**5, 10**6):
+        kernel_calls.clear()
+        try:
+            n = find_critical_n(d, eta, n_max)
+        except CriticalNotFoundError:
+            continue
+        assert len(kernel_calls) == 1
+        assert all(len(ns) <= leggett._ROUND for ns in kernel_calls)
+        assert cglmp_chained_value(d, n) < bound <= cglmp_chained_value(d, n - 1)
+
+
+def test_critical_n_sits_just_above_the_leading_order_crossing():
+    # N I_N = 2 gamma + c2/N + ..., 0 <= c2/(2 gamma) < 0.73 for d <= 100:
+    # why the first pass's window around 2 gamma/L suffices
+    checked = 0
+    for d in range(2, 101):
+        for eta in (0.1, 0.5, 0.7, 0.9, 1.0):
+            try:
+                n = find_critical_n(d, eta, 10**6)
+            except CriticalNotFoundError:
+                continue
+            checked += 1
+            assert -1 < n - 2 * gamma_factor(d) / leggett_bound_floor(d, eta) < 2
+    assert checked > 400
+
+
+@pytest.mark.parametrize("eta,n_max", [(1.0, 1000), (1.0, 100_000), (0.001, 100_000)])
+def test_find_critical_n_falls_back_to_rounds_outside_the_window(
+    monkeypatch, eta, n_max
+):
+    # the synthetic I_N of the test above, crossing at either edge of the
+    # first pass's window N = g - 6 .. g + 8 or one step outside it
+    bound = leggett_bound_floor(3, eta)
+    g = int(2 * gamma_factor(3) / bound)
+    for k, one_pass in ((g - 6, False), (g - 5, True), (g + 8, True), (g + 9, False)):
+        calls = []
+
+        def fake(d, ns):
+            calls.append(list(ns))
+            return bound + (k - 1 - np.array(ns, dtype=float))
+
+        monkeypatch.setattr(leggett, "_chained_values", fake)
+        assert find_critical_n(3, eta, n_max) == k
+        assert len(calls) == 1 if one_pass else 1 < len(calls) <= _round_budget(n_max)
+        assert all(len(ns) <= leggett._ROUND for ns in calls)
 
 
 def _bisection_oracle(d, eta, n_max):
@@ -545,6 +596,49 @@ def _bisection_oracle(d, eta, n_max):
 )
 def test_find_critical_n_matches_bisection_oracle(d, eta, n_max):
     assert find_critical_n(d, eta, n_max) == _bisection_oracle(d, eta, n_max)
+
+
+def test_find_critical_n_with_the_floor_underflowed_to_zero():
+    # eta = 5e-324 rounds L to 0.0: no 2 gamma/L window, I_{n_max} decides
+    assert leggett_bound_floor(3, 5e-324) == 0.0
+    with pytest.raises(CriticalNotFoundError) as info:
+        find_critical_n(3, 5e-324, 1000)
+    assert str(info.value) == (
+        "no violation for d=3, eta=5e-324 up to N=1000; "
+        "gap I_N - bound = 0.00219369"
+    )
+    assert info.value.gap == cglmp_chained_value(3, 1000)
+
+
+@pytest.mark.parametrize("d", [2, 3, 24, 100])
+def test_find_critical_n_with_the_window_past_the_limit(d):
+    # 2 gamma/L ~ 1e301 is clamped to n_max, which is still not enough
+    bound = leggett_bound_floor(d, 1e-300)
+    assert 2 * gamma_factor(d) / bound > 10**20
+    with pytest.raises(CriticalNotFoundError) as info:
+        find_critical_n(d, 1e-300, 10**20)
+    assert info.value.gap == cglmp_chained_value(d, 10**20) - bound
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 15, 16, 17])
+def test_find_critical_n_at_limits_inside_the_window(n_max):
+    for d in (2, 3, 5):
+        for eta in (0.1, 0.5, 1.0):
+            try:
+                expected = _scan_oracle(d, eta, n_max)
+            except CriticalNotFoundError as oracle:
+                with pytest.raises(CriticalNotFoundError) as info:
+                    find_critical_n(d, eta, n_max)
+                assert info.value.gap == oracle.gap
+            else:
+                assert find_critical_n(d, eta, n_max) == expected
+
+
+def test_find_critical_n_first_pass_past_int64(kernel_calls):
+    n_max = 2**63 + 5
+    assert find_critical_n(5, 1.0, n_max) == _bisection_oracle(5, 1.0, n_max)
+    assert len(kernel_calls) == 1 and kernel_calls[0][-1] == n_max
+    assert all(type(n) is int for n in kernel_calls[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 24])
