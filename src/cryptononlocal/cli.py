@@ -486,9 +486,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
-        # the library's precondition checks; CriticalNotFoundError is a
-        # ValueError too, but the handlers that expect it map it to exit 3
+    except (ValueError, OverflowError) as exc:
+        # the library's precondition checks, and integers past the float
+        # range; CriticalNotFoundError is a ValueError too, but the
+        # handlers that expect it map it to exit 3
         return _fail(str(exc), EXIT_BAD_INPUT)
     except MemoryError as exc:
         # a request too large to hold is bad input, not a failed verification

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bloch import (
     _integer,
     _normal_rows,
-    bloch_to_density,
     expected_abs_projection,
     sample_sphere,
     state_to_bloch,
@@ -79,45 +78,41 @@ _ROUND = 16
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasisBloch:
-    """Bloch vectors of one projective measurement, one row per outcome."""
+    """One projective measurement: its outcome states, one row per outcome,
+    and their Bloch vectors.
 
-    vectors: np.ndarray  # shape (d, d**2 - 1)
+    Construction is the one check: ``states`` must be a finite (d, d) array,
+    d >= 2, whose rows are orthonormal to 1e-10.  The Bloch vectors then
+    have unit norm, sum to zero and overlap pairwise by -1/(d-1), so every
+    cyclic step ``|a^x - a^{x-1}|`` is sqrt(2d/(d-1)).
+    """
+
+    states: np.ndarray  # shape (d, d), row x the outcome-x state
+    vectors: np.ndarray = field(init=False)  # shape (d, d**2 - 1)
+
+    def __post_init__(self) -> None:
+        # a copy, so that no later write to the caller's array parts the
+        # states from their vectors
+        states = np.array(self.states, dtype=complex)
+        d = len(states) if states.ndim else 0
+        if states.shape != (d, d) or d < 2:
+            raise ValueError(f"expected a (d >= 2, d) array of basis rows, got {states.shape}")
+        # before the Gram product, where an inf would raise a RuntimeWarning
+        if not np.isfinite(states).all():
+            raise ValueError("basis has a non-finite entry")
+        if np.abs(states @ states.conj().T - np.eye(d)).max() > 1e-10:
+            raise ValueError("input vectors are not an orthonormal basis")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "vectors", state_to_bloch(states))
 
     @property
     def d(self) -> int:
-        return self.vectors.shape[0]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        """Shape, completeness, pairwise overlap and cyclic step-length checks."""
-        d, v = self.d, self.vectors
-        if v.shape != (d, d * d - 1) or d < 2:
-            raise ValueError(f"vectors shape {v.shape} is not (d >= 2, d**2 - 1)")
-        if np.abs(v.sum(axis=0)).max() > tol:
-            raise ValueError("outcome vectors do not sum to zero")
-        gram = v @ v.T
-        target = -1.0 / (d - 1)
-        mask = ~np.eye(d, dtype=bool)
-        if np.abs(gram[mask] - target).max() > tol:
-            raise ValueError("pairwise overlaps deviate from -1/(d-1)")
-        if np.abs(np.diag(gram) - 1.0).max() > tol:
-            raise ValueError("outcome vectors are not unit norm")
-        steps = np.linalg.norm(_difference_matrix(self), axis=1)
-        if np.abs(steps - math.sqrt(2.0 * d / (d - 1))).max() > tol:
-            raise ValueError("cyclic step lengths deviate from sqrt(2d/(d-1))")
+        return self.states.shape[0]
 
 
 def basis_to_bloch(basis: np.ndarray) -> MeasurementBasisBloch:
-    """Bloch vectors of an orthonormal basis, ``basis[x]`` the outcome-x state."""
-    basis = np.asarray(basis, dtype=complex)
-    d = basis.shape[0]
-    if basis.shape != (d, d):
-        raise ValueError(f"expected a (d, d) array of basis rows, got {basis.shape}")
-    gram = basis @ basis.conj().T
-    if np.abs(gram - np.eye(d)).max() > 1e-10:
-        raise ValueError("input vectors are not an orthonormal basis")
-    out = MeasurementBasisBloch(state_to_bloch(basis))
-    out.validate()
-    return out
+    """The measurement of an orthonormal basis, ``basis[x]`` the outcome-x state."""
+    return MeasurementBasisBloch(basis)
 
 
 @dataclass(frozen=True)
@@ -176,25 +171,6 @@ def marginal_distribution(
 def _difference_matrix(basis: MeasurementBasisBloch) -> np.ndarray:
     # row x is a^x - a^{x-1}, index cyclic
     return basis.vectors - np.roll(basis.vectors, 1, axis=0)
-
-
-def _outcome_states(basis: MeasurementBasisBloch) -> np.ndarray:
-    """The outcome states of ``basis`` as rows, each up to a phase.
-
-    ``rho(a^x) = |a_x><a_x|`` has column j equal to ``a_x conj(a_x[j])``, so
-    the column of its largest diagonal entry, divided by that entry's
-    square root, is a_x times a phase.  Outcome vectors whose ``rho(a^x)``
-    is not rank one to 1e-9 (unit Bloch vectors that are not pure states,
-    possible from d = 3 up) raise `ValueError`.
-    """
-    rho = bloch_to_density(basis.vectors)
-    x = np.arange(basis.d)
-    diag = rho.diagonal(axis1=1, axis2=2).real
-    j = diag.argmax(axis=1)
-    states = rho[x, :, j] / np.sqrt(diag[x, j])[:, None]
-    if np.abs(states[:, :, None] * states[:, None, :].conj() - rho).max() > 1e-9:
-        raise ValueError("outcome vectors are not pure states")
-    return states
 
 
 def _mc_block_rows(macs_per_row: int) -> int:
@@ -268,9 +244,7 @@ def leggett_bound_mc(
 
     so a sample's value is ``eta/d sum_x |p_x - p_{x-1}|``, taken over the
     unnormalized squared moduli and divided once by ``|z|^2``.  The outcome
-    states a_x are recovered once per call from the rank-one
-    ``rho(a^x)`` (`_outcome_states`; a basis whose outcome vectors are not
-    pure states raises `ValueError`).  A block costs two real
+    states a_x are the rows of ``basis.states``.  A block costs two real
     (2d, d) x (d, rows) products, one with the real and one with the
     imaginary parts of its rows as columns, whose sum holds Re and Im of
     every ``<a_x|z>``, one column per sample: d times fewer multiply-adds
@@ -294,10 +268,10 @@ def leggett_bound_mc(
     haar = model.u_mode == "haar-pure"
     if haar:
         coef = model.eta / d
-        states = _outcome_states(basis)
+        a = basis.states
         # row x of w_re @ re.T + w_im @ im.T is Re <a_x|z>, row d + x Im <a_x|z>
-        w_re = np.concatenate([states.real, -states.imag])
-        w_im = np.concatenate([states.imag, states.real])
+        w_re = np.concatenate([a.real, -a.imag])
+        w_im = np.concatenate([a.imag, a.real])
         rows = _mc_block_rows(2 * d * d)
     else:
         coef = model.eta * (d - 1) / d**2
@@ -557,7 +531,7 @@ def escape_report(
     at every setting (`verify_shift_bound` checks each one).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError("u must be unit norm")
     projections = [float(np.linalg.norm(fam.span @ u)) for fam in families]
     return [

@@ -299,12 +299,16 @@ def deterministic_contradiction(
     attained at the normalized bisector.  Equal vectors yield no
     certificate; antipodal vectors give max 0 (gap 1).  The outcomes
     ``x1`` and ``x2`` are integers in 0..d-1: a bool or a float raises
-    `TypeError`, an outcome out of range `ValueError`.
+    `TypeError`, an outcome out of range `ValueError`.  Bases of two
+    different dimensions raise `ValueError` too.
     """
-    vectors1 = basis_to_bloch(np.asarray(basis1)).vectors
-    vectors2 = basis_to_bloch(np.asarray(basis2)).vectors
-    x1 = _integer("outcome index x1", x1, 0, vectors1.shape[0] - 1)
-    x2 = _integer("outcome index x2", x2, 0, vectors2.shape[0] - 1)
+    vectors1 = basis_to_bloch(basis1).vectors
+    vectors2 = basis_to_bloch(basis2).vectors
+    d = len(vectors1)
+    if len(vectors2) != d:
+        raise ValueError(f"bases of different dimensions: d={d} and d={len(vectors2)}")
+    x1 = _integer("outcome index x1", x1, 0, d - 1)
+    x2 = _integer("outcome index x2", x2, 0, d - 1)
     a, b = vectors1[x1], vectors2[x2]
     if np.linalg.norm(a - b) <= 1e-10:
         return ContradictionReport(

@@ -336,6 +336,26 @@ def test_bad_arguments_exit_2_and_name_the_parameter(capsys, argv, needle):
     assert out == ""
 
 
+_PAST_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("in", "--d", "3", "--n", _PAST_FLOAT),
+        ("in", "--d", "3", "--n", _PAST_FLOAT, "--asymptotic"),
+        ("ncrit", "--d", "3", "--nmax", _PAST_FLOAT),
+        ("sweep", "--fig", "3", "--n-range", f"2..{_PAST_FLOAT}"),
+    ],
+)
+def test_integers_past_the_float_range_exit_2(capsys, argv):
+    # an OverflowError once left a traceback and exit 1, the failed-check code
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "too large" in err
+
+
 @pytest.mark.parametrize(
     "extra,rows",
     [

@@ -462,6 +462,13 @@ def test_contradiction_equal_vectors_no_certificate():
     assert report.gap == 0.0
 
 
+def test_contradiction_refuses_bases_of_two_dimensions():
+    basis3, _ = cglmp_bases(chained_settings(3, 2))
+    basis4, _ = cglmp_bases(chained_settings(4, 2))
+    with pytest.raises(ValueError, match="d=3 and d=4"):
+        deterministic_contradiction(basis3[0], basis4[0], 0, 0)
+
+
 def test_contradiction_antipodal_qubit():
     basis = np.eye(2, dtype=complex)
     flipped = basis[::-1]

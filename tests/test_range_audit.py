@@ -9,7 +9,6 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from cryptononlocal.bloch import bloch_to_density, state_to_bloch  # noqa: E402
 from cryptononlocal.leggett import (  # noqa: E402
-    _outcome_states,
     basis_to_bloch,
     leggett_bound_analytic,
 )
@@ -110,14 +109,14 @@ def test_projection_rule(d, seed):
 @hypothesis.example(d=2, seed=0, eta=1.0)
 @hypothesis.example(d=100, seed=0, eta=1.0)
 def test_outcome_states_reproduce_the_bloch_map(d, seed, eta):
-    # the Haar-pure Monte Carlo reads p_x = |<a_x|psi>|^2 off the states
-    # recovered from rho(a^x); a sample's value eta/d sum_x |p_x - p_{x-1}|
+    # the Haar-pure Monte Carlo reads p_x = |<a_x|psi>|^2 off the basis
+    # states; a sample's value eta/d sum_x |p_x - p_{x-1}|
     # must equal the Bloch map's eta (d-1)/d^2 sum_x |(a^x - a^{x-1}) . u|
     rng = np.random.default_rng(seed)
     unitary = haar_unitary(d, rng)
     basis = basis_to_bloch(unitary)
     psi = _pure_states(rng, 8, d)
-    probs = np.abs(psi @ _outcome_states(basis).conj().T) ** 2
+    probs = np.abs(psi @ basis.states.conj().T) ** 2
     assert np.abs(probs - np.abs(psi @ unitary.conj().T) ** 2).max() <= 1e-14
     diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
     bloch_map = eta * (d - 1) / d**2 * np.abs(state_to_bloch(psi) @ diffs.T).sum(axis=1)
