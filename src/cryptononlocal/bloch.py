@@ -89,12 +89,18 @@ def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] < 2:
         raise ValueError("state must live in dimension >= 2")
-    d = psi.shape[-1]
-    p = np.abs(psi) ** 2
-    nrm2 = p.sum(axis=-1)
+    nrm2 = (np.abs(psi) ** 2).sum(axis=-1)
     bad = ~(np.abs(nrm2 - 1.0) <= 1e-12)  # a NaN norm fails too
     if bad.any():
         raise ValueError(f"state is not normalized: |psi|^2 = {float(nrm2[bad][0])!r}")
+    return _bloch_coords(psi)
+
+
+def _bloch_coords(psi: np.ndarray) -> np.ndarray:
+    """`state_to_bloch` of a complex array whose states the caller has
+    already checked, without a second check."""
+    d = psi.shape[-1]
+    p = np.abs(psi) ** 2
     k, j = np.tril_indices(d, -1)
     z = psi[..., j].conj() * psi[..., k]
     l = np.arange(1, d)

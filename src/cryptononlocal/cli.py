@@ -172,7 +172,16 @@ def _cmd_gamma(args) -> int:
     return EXIT_OK
 
 
+def _settings_count(option: str, n: int) -> None:
+    """Refuse a settings count N past the largest whose 2N is a float, as
+    the closed forms of I_N take 1/(2N)."""
+    limit = int(sys.float_info.max) // 2
+    if n > limit:
+        raise ValueError(f"{option} is too large: N may be at most {float(limit)!r}")
+
+
 def _cmd_in(args) -> int:
+    _settings_count("--n", args.n)
     if args.asymptotic:
         print(fmt_human(asymptotic_chained_value(args.d, args.n)))
     else:
@@ -196,6 +205,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_ncrit(args) -> int:
+    _settings_count("--nmax", args.nmax)
     try:
         print(find_critical_n(args.d, args.eta, args.nmax))
     except CriticalNotFoundError as exc:
@@ -255,6 +265,7 @@ def _cmd_sweep(args) -> int:
         return _fail(f"empty or invalid d range {d_range}", EXIT_BAD_INPUT)
     if n_range[0] < 1 or n_range[0] > n_range[1]:
         return _fail(f"empty or invalid N range {n_range}", EXIT_BAD_INPUT)
+    _settings_count("--n-range", n_range[1])
     if not etas:
         return _fail("eta list is empty", EXIT_BAD_INPUT)
     n_rows = (d_range[1] - d_range[0] + 1) * len(etas)
@@ -283,7 +294,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_fixture(path: str) -> JointDistribution:
-    """Read and fully check a ``{d, n, probs}`` JSON distribution."""
+    """Read a ``{d, n, probs}`` JSON distribution; `verify_shift_bound` checks its values."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -304,19 +315,24 @@ def _load_fixture(path: str) -> JointDistribution:
     dist = JointDistribution(data["probs"])
     if (data["d"], data["n"]) != (dist.d, dist.n):
         raise ValueError(f"d={data['d']}, n={data['n']} does not match probs {dist.probs.shape}")
-    dist.validate(tol=1e-9, no_signaling=True)
     return dist
+
+
+def _trial_boxes(args):
+    """Each trial's generator ``substream(seed, t)`` and the box drawn from it."""
+    for t in range(args.trials):
+        gen = substream(args.seed, t)
+        yield gen, random_no_signaling(args.d, args.n, float(gen.uniform()), gen)
 
 
 def _verify_theorem1(args) -> int:
     if args.input is not None:
         try:
-            dist = _load_fixture(args.input)
+            report = verify_shift_bound(_load_fixture(args.input))
         except OSError as exc:
             return _fail(f"cannot read {args.input}: {exc}", EXIT_IO)
         except ValueError as exc:
             return _fail(f"bad input distribution: {exc}", EXIT_BAD_INPUT)
-        report = verify_shift_bound(dist)
         status = "PASS" if report.passed else "FAIL"
         print(
             f"theorem1 fixture: I_N={fmt_human(report.chained)} "
@@ -327,10 +343,7 @@ def _verify_theorem1(args) -> int:
 
     ok = True
     min_slack = float("inf")
-    for t in range(args.trials):
-        gen = substream(args.seed, t)
-        mix = float(gen.uniform())
-        dist = random_no_signaling(args.d, args.n, mix, gen)
+    for _, dist in _trial_boxes(args):
         report = verify_shift_bound(dist)
         ok = ok and report.passed
         min_slack = min(min_slack, report.slack)
@@ -346,10 +359,7 @@ def _verify_lemma(args) -> int:
     ok = True
     min_slack = float("inf")
     max_triangle_violation = 0.0
-    for t in range(args.trials):
-        gen = substream(args.seed, t)
-        mix = float(gen.uniform())
-        dist = random_no_signaling(args.d, args.n, mix, gen)
+    for gen, dist in _trial_boxes(args):
         for a in range(1, args.n + 1):
             for b in range(1, args.n + 1):
                 report = check_agreement_bound(dist, a, b)

@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import (
+    _bloch_coords,
     _integer,
     _normal_rows,
     expected_abs_projection,
     sample_sphere,
-    state_to_bloch,
     substream,
 )
 from .quantum import ChainedSettings, _chained_values, cglmp_bases, gamma_factor
@@ -84,7 +84,8 @@ class MeasurementBasisBloch:
     Construction is the one check: ``states`` must be a finite (d, d) array,
     d >= 2, whose rows are orthonormal to 1e-10.  The Bloch vectors then
     have unit norm, sum to zero and overlap pairwise by -1/(d-1), so every
-    cyclic step ``|a^x - a^{x-1}|`` is sqrt(2d/(d-1)).
+    cyclic step ``|a^x - a^{x-1}|`` is sqrt(2d/(d-1)).  Both arrays are
+    the basis's own, read-only copies.
     """
 
     states: np.ndarray  # shape (d, d), row x the outcome-x state
@@ -102,12 +103,34 @@ class MeasurementBasisBloch:
             raise ValueError("basis has a non-finite entry")
         if np.abs(states @ states.conj().T - np.eye(d)).max() > 1e-10:
             raise ValueError("input vectors are not an orthonormal basis")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "vectors", state_to_bloch(states))
+        vectors = _bloch_coords(states)
+        for name, value in (("states", states), ("vectors", vectors)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
         return self.states.shape[0]
+
+
+def _purity(eta) -> float:
+    """``eta`` itself, if it lies in (0, 1]; a bool raises `TypeError`."""
+    # a float, the common case, skips the isinstance call
+    if type(eta) is not float and isinstance(eta, (bool, np.bool_)):
+        raise TypeError(f"eta={eta!r} is not a number")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
+    return eta
+
+
+def _hidden_vector(u, d: int) -> np.ndarray:
+    """``u`` as a flat float array, refused unless it has d**2 - 1 finite coordinates."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.size != d * d - 1:
+        raise ValueError(f"u has {u.size} coordinates, expected d**2 - 1 = {d * d - 1}")
+    if not np.isfinite(u).all():
+        raise ValueError("u has a non-finite entry")
+    return u
 
 
 def basis_to_bloch(basis: np.ndarray) -> MeasurementBasisBloch:
@@ -131,8 +154,7 @@ class LocalModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _integer("d", self.d, 2))
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+        _purity(self.eta)
         if self.u_mode not in U_MODES:
             raise ValueError(f"unknown u_mode {self.u_mode!r}")
 
@@ -153,17 +175,16 @@ def marginal_distribution(
 
     The flag is False when any outcome would receive a negative value at
     this ``u`` (possible for non-physical sphere points); values are
-    reported unclamped either way.
+    reported unclamped either way.  A ``u`` without d**2 - 1 coordinates, or
+    with a non-finite one, raises `ValueError`.
 
     Consecutive marginals differ by ``p_x - p_{x-1} = eta (d-1)/d
     (a^x - a^{x-1}) . u``, so at a physical ``u`` the model bound L of that
     one direction is the shift distance
     ``statistical_distance(p, np.roll(p, 1))`` of ``p``.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    d = basis.d
+    d, eta = basis.d, _purity(eta)
+    u = _hidden_vector(u, d)
     values = (1.0 + eta * (d - 1) * (basis.vectors @ u)) / d
     return values, bool(values.min() >= -1e-12)
 
@@ -347,9 +368,7 @@ def leggett_bound_analytic(d: int, eta: float = 1.0) -> BoundEstimate:
     ``|w . u|`` is ``|w| kappa_{d^2-1}``, so
     ``L = eta (d-1)/d^2 * d sqrt(2d/(d-1)) * kappa_{d^2-1}``.
     """
-    d = _integer("d", d, 2)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    d, eta = _integer("d", d, 2), _purity(eta)
     value = (
         eta
         * (d - 1)
@@ -363,9 +382,7 @@ def leggett_bound_analytic(d: int, eta: float = 1.0) -> BoundEstimate:
 
 def leggett_bound_floor(d: int, eta: float = 1.0) -> float:
     """Explicit lower bound ``eta 2(d-1)/d^3`` of L under uniform hidden states."""
-    d = _integer("d", d, 2)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    d, eta = _integer("d", d, 2), _purity(eta)
     return eta * 2.0 * (d - 1) / d**3
 
 
@@ -500,8 +517,10 @@ def mub_families(settings: ChainedSettings) -> list[MeasurementFamily]:
         # v = F_1^dagger M_k, which takes setting 1 to F_1 v = M_k
         v = alice[0].conj().T @ mub
         fam_alice = alice @ v
-        diffs = [_difference_matrix(basis_to_bloch(basis)) for basis in fam_alice]
-        _, sv, vt = np.linalg.svd(np.concatenate(diffs), full_matrices=False)
+        # conjugates of orthonormal bases, not checked again; row (A, x) is a^x - a^{x-1}
+        vectors = _bloch_coords(fam_alice)
+        diffs = (vectors - np.roll(vectors, 1, axis=1)).reshape(-1, vectors.shape[-1])
+        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
         span = vt[sv > _SPAN_TOL]  # orthonormal rows, by decreasing singular value
         families.append(
             MeasurementFamily(alice=fam_alice, bob=bob @ v.conj(), span=span)
@@ -523,16 +542,18 @@ def escape_report(
 
     A family is flagged when the projection falls below 1e-9: for that
     family alone, ``u`` is an escape direction and L vanishes.  Each entry's
-    ``index`` is the family's 1-based position in ``families``.
+    ``index`` is the family's 1-based position in ``families``.  A ``u``
+    that is not a unit vector of d**2 - 1 coordinates raises `ValueError`.
 
     A family's span covers the difference vectors of all its N settings,
     while `demos/escape_directions.py` bounds L at setting 1 alone.  Both
     are sound, because the shift lemma ``Delta(P_X, P_{X+1}) <= I_N`` holds
     at every setting (`verify_shift_bound` checks each one).
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
     if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError("u must be unit norm")
+    if families:
+        u = _hidden_vector(u, families[0].alice.shape[1])
     projections = [float(np.linalg.norm(fam.span @ u)) for fam in families]
     return [
         FamilyProjection(index=index, projection=proj, escape_possible=proj < _SPAN_TOL)

@@ -123,7 +123,7 @@ def random_no_signaling(
     setting pair and X for a box.  The generator calls are those of the
     dense construction, in its order, and every entry sums its terms in the
     order drawn, from 0.0, so the tensor is bit for bit the one that adding
-    a dense array per term gives.
+    a dense array per term gives.  A distribution by construction, it is not validated.
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
     if not 0.0 <= mix <= 1.0:
@@ -147,9 +147,7 @@ def random_no_signaling(
         f = rng.integers(0, d, size=(n, n))
         flat[pair[:, :, None] + cells[f]] += mix * v[i] / d
 
-    dist = JointDistribution(flat.reshape(n, n, d, d))
-    dist.validate()
-    return dist
+    return JointDistribution(flat.reshape(n, n, d, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,12 +162,12 @@ class ShiftBoundReport:
 def verify_shift_bound(dist: JointDistribution, tol: float = 1e-9) -> ShiftBoundReport:
     """Check ``Delta(P_X|a, P_X+1|a) <= I_N`` for every Alice setting.
 
-    The distribution is checked by `JointDistribution.validate` with
-    ``no_signaling=True`` at ``tol``: finiteness, sign, normalization and
-    no-signaling (the bound presumes it).  ``slack`` is I_N minus the
-    largest per-setting shift distance and must stay above -tol.
+    `JointDistribution.validate` at ``tol`` is the one check of ``dist``
+    (and of a ``verify --input`` fixture), no-signaling included, as the
+    bound presumes it.  ``slack`` is I_N minus the largest per-setting
+    shift distance and must stay above -tol.
     """
-    dist.validate(tol, no_signaling=True)
+    dist.validate(tol)
     i_n = chained_value(dist)
     # (A, X), B-averaged: the sum and division that mean(axis=1) makes
     marg = dist.probs.sum(axis=3).sum(axis=1) / dist.n
@@ -310,38 +308,24 @@ def deterministic_contradiction(
     x1 = _integer("outcome index x1", x1, 0, d - 1)
     x2 = _integer("outcome index x2", x2, 0, d - 1)
     a, b = vectors1[x1], vectors2[x2]
-    if np.linalg.norm(a - b) <= 1e-10:
-        return ContradictionReport(
-            vector_a=a,
-            vector_b=b,
-            best_direction=a,
-            max_min_overlap=1.0,
-            gap=0.0,
-            certified=False,
-        )
+    equal = bool(np.linalg.norm(a - b) <= 1e-10)
     s = a + b
     norm_s = float(np.linalg.norm(s))
     if norm_s <= 1e-12:
         # antipodal: min(a.u, -a.u) <= 0 with equality on the equator
-        perp = np.zeros_like(a)
-        perp[int(np.argmin(np.abs(a)))] = 1.0
-        perp -= (perp @ a) * a
-        perp /= np.linalg.norm(perp)
-        return ContradictionReport(
-            vector_a=a,
-            vector_b=b,
-            best_direction=perp,
-            max_min_overlap=0.0,
-            gap=1.0,
-            certified=True,
-        )
-    u_best = s / norm_s
-    max_min = float((1.0 + a @ b) / norm_s)
+        u_best = np.zeros_like(a)
+        u_best[int(np.argmin(np.abs(a)))] = 1.0
+        u_best -= (u_best @ a) * a
+        u_best /= np.linalg.norm(u_best)
+        max_min = 0.0
+    else:
+        u_best = s / norm_s
+        max_min = 1.0 if equal else float((1.0 + a @ b) / norm_s)
     return ContradictionReport(
         vector_a=a,
         vector_b=b,
         best_direction=u_best,
         max_min_overlap=max_min,
         gap=1.0 - max_min,
-        certified=True,
+        certified=not equal,
     )

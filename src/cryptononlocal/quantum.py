@@ -61,7 +61,7 @@ class ChainedSettings:
 
     Construction refuses phases that are not real, finite, 1-D, non-empty and
     of one length, and stores them mod d, their period, where the Born-rule
-    tensor keeps its accuracy."""
+    tensor keeps its accuracy, as read-only arrays."""
 
     d: int
     alpha: np.ndarray
@@ -75,7 +75,9 @@ class ChainedSettings:
                 raise ValueError(f"{name} must be a non-empty 1-D array, got {phases.shape}")
             if not np.isfinite(phases).all():
                 raise ValueError(f"{name} has a non-finite phase")
-            object.__setattr__(self, name, np.mod(phases, self.d))
+            phases = np.mod(phases, self.d)
+            phases.flags.writeable = False
+            object.__setattr__(self, name, phases)
         if self.alpha.shape != self.beta.shape:
             raise ValueError(f"alpha and beta differ in length: {self.n} != {self.beta.size}")
 
@@ -189,12 +191,11 @@ class JointDistribution:
     def d(self) -> int:
         return self.probs.shape[2]
 
-    def validate(self, tol: float = PROB_TOL, no_signaling: bool = False) -> None:
-        """Check finiteness, sign (entries >= -tol) and normalization.
-
-        With ``no_signaling`` also require each party's marginals to vary by
-        at most ``tol`` across the other party's settings.
-        """
+    def validate(self, tol: float = PROB_TOL) -> None:
+        """Check finiteness, sign (entries >= -tol), normalization and
+        no-signaling: each party's marginals vary by at most ``tol`` across
+        the other party's settings.  Boxes built as distributions are not
+        checked (`closed_form_probs`, `random_no_signaling`)."""
         p = self.probs
         # NaN compares False, so the sign and sum checks would pass it.  The
         # sums of finite entries can overflow too, so np.isfinite decides
@@ -206,12 +207,9 @@ class JointDistribution:
             raise ValueError("negative probability entry")
         if deviation > tol:
             raise ValueError("setting pair not normalized")
-        if no_signaling:
-            residual = max(_signaling_residuals(p))
-            if residual > tol:
-                raise ValueError(
-                    f"distribution signals (residual {residual:.3g} > {tol:.3g})"
-                )
+        residual = max(_signaling_residuals(p))
+        if residual > tol:
+            raise ValueError(f"distribution signals (residual {residual:.3g} > {tol:.3g})")
 
 
 def joint_from_bases(
@@ -247,7 +245,7 @@ def joint_from_bases(
         block *= block
         probs[a : a + rows] = block.reshape(-1, d, n, d).transpose(0, 2, 1, 3)
     dist = JointDistribution(probs)
-    dist.validate(no_signaling=True)
+    dist.validate()
     return dist
 
 

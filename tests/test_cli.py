@@ -1,4 +1,5 @@
 import json
+import sys
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from cryptononlocal.cli import (
     _min_plus_lhv_min,
     main,
 )
+from cryptononlocal.quantum import JointDistribution
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +356,31 @@ def test_integers_past_the_float_range_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "too large" in err
+    # it names the option and the limit, where Python's message named neither
+    option = next(a for a, value in zip(argv, argv[1:]) if _PAST_FLOAT in value)
+    assert err.startswith(f"error: {option} is too large: N may be at most ")
+
+
+_MAX_COUNT = int(sys.float_info.max) // 2  # the largest N whose 2N is a float
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("in", "--d", "3", "--n"), "--n"),
+        (("in", "--d", "3", "--asymptotic", "--n"), "--n"),
+        (("ncrit", "--d", "3", "--nmax"), "--nmax"),
+        (("sweep", "--fig", "2", "--n-range"), "--n-range"),
+    ],
+)
+def test_settings_counts_stop_where_2n_leaves_the_float_range(capsys, argv, option):
+    last = str(_MAX_COUNT)
+    for count, expected in ((last, (0, 3)), (str(_MAX_COUNT + 1), (2,))):
+        value = f"{count}..{count}" if option == "--n-range" else count
+        code, _, err = run_cli(capsys, *argv, value)
+        assert code in expected
+        if code == 2:
+            assert err == f"error: {option} is too large: N may be at most {float(last)!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -469,6 +496,35 @@ def test_verify_input_rejects_bad_fixture(capsys, tmp_path, payload, needle):
     assert code == 2
     assert needle in err
     assert out == ""
+
+
+def test_verify_input_signaling_fixture_exits_2(capsys, tmp_path):
+    fixture = tmp_path / "signaling.json"
+    fixture.write_text(json.dumps(_fx(_signaling_probs())))
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "theorem1", "--input", str(fixture)
+    )
+    assert code == 2
+    assert err == "error: bad input distribution: distribution signals (residual 1 > 1e-09)\n"
+    assert out == ""
+
+
+def test_verify_theorem1_checks_each_box_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    validate = JointDistribution.validate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(JointDistribution, "validate", counted)
+    fixture = tmp_path / "uniform.json"
+    fixture.write_text(json.dumps(_fx()))
+    assert run_cli(capsys, "verify", "--suite", "theorem1", "--input", str(fixture))[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run_cli(capsys, "verify", "--suite", "theorem1", "--trials", "7")[0] == 0
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("suite", ["lemma", "lhv", "contradiction"])

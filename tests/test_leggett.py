@@ -740,3 +740,85 @@ def test_local_model_validation():
         LocalModel(d=3, u_mode="unknown")
     with pytest.raises(ValueError):
         LocalModel(d=3, u_mode="fixed")
+
+
+def test_measurement_basis_arrays_are_read_only():
+    # a write to one array would part the states from their vectors
+    mb = basis_to_bloch(np.eye(3))
+    for array in (mb.states, mb.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 5
+
+
+def test_measurement_basis_orthonormal_to_1e_10_is_accepted():
+    # the Gram check at 1e-10 is the one check: a row with |psi|^2 = 1 + 5e-11
+    # once passed it and was then refused by state_to_bloch's 1e-12 norm check
+    states = np.eye(3, dtype=complex)
+    states[0] *= math.sqrt(1 + 5e-11)
+    mb = MeasurementBasisBloch(states)
+    assert np.abs(np.linalg.norm(mb.vectors, axis=1) - 1.0).max() < 1e-10
+    states[0] *= math.sqrt(1 + 1e-10)
+    with pytest.raises(ValueError, match="not an orthonormal basis"):
+        MeasurementBasisBloch(states)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_mub_family_spans_equal_the_per_basis_path_bit_for_bit(d):
+    settings = chained_settings(d, 4)
+    for fam in mub_families(settings):
+        # each setting's basis checked and mapped on its own, as before the
+        # stacked map
+        vectors = [state_to_bloch(basis) for basis in fam.alice]
+        diffs = np.concatenate([v - np.roll(v, 1, axis=0) for v in vectors])
+        _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+        assert np.array_equal(fam.span, vt[sv > 1e-9])
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_purity_is_refused(flag):
+    basis = _cglmp_basis(3)
+    with pytest.raises(TypeError, match="is not a number"):
+        LocalModel(d=3, eta=flag)
+    with pytest.raises(TypeError, match="is not a number"):
+        marginal_distribution(basis, basis.vectors[0], flag)
+    with pytest.raises(TypeError, match="is not a number"):
+        leggett_bound_analytic(3, flag)
+    with pytest.raises(TypeError, match="is not a number"):
+        leggett_bound_floor(3, flag)
+    with pytest.raises(TypeError, match="is not a number"):
+        find_critical_n(3, flag)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_an_integer_purity_gives_the_bits_of_a_float(d):
+    basis = _cglmp_basis(d)
+    assert leggett_bound_floor(d, 1) == leggett_bound_floor(d, 1.0)
+    assert leggett_bound_analytic(d, 1) == leggett_bound_analytic(d, 1.0)
+    assert find_critical_n(d, 1) == find_critical_n(d, 1.0)
+    u = basis.vectors[1]
+    assert np.array_equal(
+        marginal_distribution(basis, u, 1)[0], marginal_distribution(basis, u, 1.0)[0]
+    )
+    for mode in leggett.U_MODES:
+        assert leggett_bound_mc(basis, LocalModel(d, 1, mode), 500, 3) == leggett_bound_mc(
+            basis, LocalModel(d, 1.0, mode), 500, 3
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_marginal_distribution_refuses_a_non_finite_vector(bad):
+    # a NaN u once gave NaN marginals and the flag False
+    basis = _cglmp_basis(2)
+    with pytest.raises(ValueError, match="u has a non-finite entry"):
+        marginal_distribution(basis, np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_hidden_vectors_of_the_wrong_length_are_refused(size):
+    # numpy's matmul once answered with its core-dimension message
+    needle = f"u has {size} coordinates, expected d**2 - 1 = 3"
+    u = np.eye(size)[0]
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        marginal_distribution(_cglmp_basis(2), u)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        escape_report(u, mub_families(chained_settings(2, 2)))

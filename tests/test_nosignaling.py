@@ -23,6 +23,7 @@ from cryptononlocal.quantum import (
     joint_distribution,
     maximally_entangled,
 )
+from helpers import haar_unitary
 
 
 def test_statistical_distance_examples():
@@ -537,3 +538,27 @@ def test_conditional_distribution_validate_rejects_non_finite(bad):
     one[1, 0, 1, 1] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
         JointDistribution(one).validate()
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_random_no_signaling_boxes_pass_validation(d):
+    # built as distributions, so never validated on the way out: the check here
+    for n in range(1, 9):
+        for seed in range(20):
+            gen = substream(seed, n)
+            random_no_signaling(d, n, float(gen.uniform()), gen).validate(tol=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_contradiction_equal_up_to_a_global_phase_no_certificate(d):
+    # a global phase moves the Bloch vectors by rounding only, where the
+    # bisector formula would often read 1.0000000000000002
+    rng = substream(43, d)
+    for _ in range(10):
+        basis = haar_unitary(d, rng)
+        for x in range(d):
+            report = deterministic_contradiction(basis, basis * np.exp(0.7j), x, x)
+            assert not report.certified
+            assert report.max_min_overlap == 1.0
+            assert report.gap == 0.0
+            assert np.linalg.norm(report.best_direction - report.vector_a) <= 1e-12

@@ -417,15 +417,14 @@ def test_validate_no_signaling_residual_matches_report(d, n):
     assert report.alice_residual == pytest.approx(eps, rel=1e-12)
     assert report.bob_residual == 0.0
     with pytest.raises(ValueError, match="distribution signals") as err:
-        JointDistribution(probs).validate(no_signaling=True)
+        JointDistribution(probs).validate()
     assert f"residual {report.residual:.3g} >" in str(err.value)
-    # below the tolerance the same box passes, and without the flag it is not checked
-    JointDistribution(probs).validate(tol=0.02, no_signaling=True)
-    JointDistribution(probs).validate()
+    # below the tolerance the same box passes
+    JointDistribution(probs).validate(tol=0.02)
     # a quantum box is no-signaling to rounding, by both entry points
     dist = joint_distribution(maximally_entangled(d), chained_settings(d, n))
     assert check_no_signaling(dist).residual <= 1e-14
-    dist.validate(tol=1e-14, no_signaling=True)
+    dist.validate(tol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -451,13 +450,13 @@ def test_validate_rejects_defective_tensors(defect, match):
         probs[2, 1, :, 0] += 0.05
         probs[2, 1, :, 1] -= 0.05
     with pytest.raises(ValueError, match=match):
-        JointDistribution(probs).validate(no_signaling=True)
+        JointDistribution(probs).validate()
 
 
 def test_joint_distribution_converts_nested_lists_once():
     dist = JointDistribution([[[[0.25, 0.25], [0.25, 0.25]]]])
     assert isinstance(dist.probs, np.ndarray) and dist.probs.dtype == float
-    dist.validate(no_signaling=True)
+    dist.validate()
 
 
 @pytest.mark.parametrize(
@@ -523,3 +522,10 @@ def test_joint_distribution_takes_the_real_part_of_real_complex_probs():
 def test_joint_distribution_keeps_a_float_array():
     probs = np.full((1, 1, 2, 2), 0.25)
     assert JointDistribution(probs).probs is probs
+
+
+def test_settings_phases_are_read_only():
+    settings = chained_settings(3, 4)
+    for phases in (settings.alpha, settings.beta):
+        with pytest.raises(ValueError, match="read-only"):
+            phases[0] = 0.0
