@@ -43,7 +43,13 @@ from .bloch import (
     sample_sphere,
     substream,
 )
-from .quantum import ChainedSettings, _chained_values, cglmp_bases, gamma_factor
+from .quantum import (
+    ChainedSettings,
+    _chained_values,
+    _gram_deviation,
+    cglmp_bases,
+    gamma_factor,
+)
 
 __all__ = [
     "MeasurementBasisBloch",
@@ -101,7 +107,7 @@ class MeasurementBasisBloch:
         # before the Gram product, where an inf would raise a RuntimeWarning
         if not np.isfinite(states).all():
             raise ValueError("basis has a non-finite entry")
-        if np.abs(states @ states.conj().T - np.eye(d)).max() > 1e-10:
+        if _gram_deviation(states) > 1e-10:
             raise ValueError("input vectors are not an orthonormal basis")
         vectors = _bloch_coords(states)
         for name, value in (("states", states), ("vectors", vectors)):

@@ -48,10 +48,11 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-# Amplitudes per block of `joint_from_bases` (1 MiB of complex128): a block
-# and its moduli stay in cache, and the full (N d, N d) amplitude array is
-# never held beside the tensor.  At d=8, N=200 blocks of 2**14 to 2**17 time
-# within 5 % of each other; 2**20 takes twice as long.
+# Amplitudes per block of `joint_from_bases`, held as two 512 KiB float64
+# halves (real and imaginary parts): a block stays in cache, and the full
+# (N d, N d) amplitude array is never held beside the tensor.  At d=8, N=200
+# blocks of 2**14 to 2**17 time within 5 % of each other; 2**20 takes twice
+# as long.
 _BORN_BLOCK = 1 << 16
 
 
@@ -195,7 +196,8 @@ class JointDistribution:
         """Check finiteness, sign (entries >= -tol), normalization and
         no-signaling: each party's marginals vary by at most ``tol`` across
         the other party's settings.  Boxes built as distributions are not
-        checked (`closed_form_probs`, `random_no_signaling`)."""
+        checked (`closed_form_probs`, `random_no_signaling`, and
+        `joint_from_bases`, which checks its state and bases instead)."""
         p = self.probs
         # NaN compares False, so the sign and sum checks would pass it.  The
         # sums of finite entries can overflow too, so np.isfinite decides
@@ -212,18 +214,44 @@ class JointDistribution:
             raise ValueError(f"distribution signals (residual {residual:.3g} > {tol:.3g})")
 
 
+def _gram_deviation(bases: np.ndarray) -> np.ndarray:
+    """``max |U U^dagger - I|`` of each basis in a finite ``(..., d, d)``
+    stack, rows ``[outcome, :]``: 0 when its rows are orthonormal."""
+    d = bases.shape[-1]
+    gram = bases @ np.swapaxes(bases, -1, -2).conj()
+    # the diagonals, as a strided view of the new, contiguous product
+    gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0
+    return np.abs(gram).max(axis=(-2, -1))
+
+
 def joint_from_bases(
     state: np.ndarray, alice: np.ndarray, bob: np.ndarray
 ) -> JointDistribution:
     """Born-rule joint distribution of a bipartite state under given bases.
 
-    ``alice``/``bob`` have shape (N, d, d) with rows ``[setting, outcome, :]``.
+    ``alice``/``bob`` have shape (N, d, d), N >= 1 and d >= 2, with rows
+    ``[setting, outcome, :]``, and ``state`` has d**2 entries.  They are
+    checked on entry, before any product, and `ValueError` names the first
+    defect: a shape, a non-finite entry, a state whose norm^2 is not 1 within
+    ``PROB_TOL``, or the first setting (1-based, Alice's before Bob's) whose
+    rows are not orthonormal, ``max |U U^dagger - I| > PROB_TOL``.
+
+    The tensor is then not checked again: under the Born rule with complete
+    measurements it is a distribution by construction.  Its entries are
+    squares, so never negative, and with a norm^2 and Gram matrices within
+    ``PROB_TOL`` of 1 and I, each setting pair sums to 1 and each party's
+    marginals agree across the other party's settings to about
+    ``2 d PROB_TOL``, plus rounding.
+
     The amplitudes ``<X_A (x) Y_B | psi>`` come a block of Alice settings at
-    a time, ``max(1, 2**16 // (N d^2))`` of them, from one
-    ``(rows d, d) @ (d, N d)`` product whose moduli are squared and written
-    into the ``(N, N, d, d)`` tensor; peak memory is the tensor plus one
-    ~1 MiB block.  Nothing here uses the phase structure of the chained
-    bases, so this stays the independent reference for `closed_form_probs`.
+    a time, ``max(1, 2**16 // (N d^2))`` of them, in real arithmetic: with
+    ``h`` Alice's half-contracted rows and ``B`` Bob's conjugated columns,
+    ``[Re h | -Im h]`` and ``[Im h | Re h]`` times ``[Re B; Im B]`` give the
+    real and imaginary parts of a ``(rows d, N d)`` block, whose squares are
+    summed in place and written into the ``(N, N, d, d)`` tensor; peak memory
+    is the tensor plus one ~1 MiB block and the ``(N d, 2 d)`` factors.
+    Nothing here uses the phase structure of the chained bases, so this stays
+    the independent reference for `closed_form_probs`.
     """
     alice = np.asarray(alice, dtype=complex)
     bob = np.asarray(bob, dtype=complex)
@@ -232,21 +260,49 @@ def joint_from_bases(
     if bob.shape != alice.shape:
         raise ValueError("Alice and Bob basis arrays must share a shape")
     n, d = alice.shape[0], alice.shape[1]
+    if n < 1 or d < 2:
+        raise ValueError(f"basis arrays need N >= 1 and d >= 2, got shape {alice.shape}")
     s = np.asarray(state, dtype=complex).reshape(-1)
     if s.shape[0] != d * d:
         raise ValueError(f"state length {s.shape[0]} does not match d={d}")
-    # amp[(A, X), (B, Y)] = <X_A (x) Y_B | psi>, for `rows` settings A at a time
+    # before any product, where an inf would raise a RuntimeWarning
+    for name, value in (("state", s), ("alice", alice), ("bob", bob)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    norm2 = np.vdot(s, s).real
+    if abs(norm2 - 1.0) > PROB_TOL:
+        raise ValueError(f"state is not normalized: norm^2 - 1 = {norm2 - 1.0:.3g}")
+    for name, bases in (("alice", alice), ("bob", bob)):
+        deviation = _gram_deviation(bases)
+        if deviation.max() > PROB_TOL:
+            k = np.flatnonzero(deviation > PROB_TOL)[0]
+            raise ValueError(
+                f"{name} setting {k + 1} is not an orthonormal basis: "
+                f"max |U U^dagger - I| = {deviation[k]:.3g} > {PROB_TOL:g}"
+            )
+    # re[(A, X), (B, Y)] + i im[...] = <X_A (x) Y_B | psi>, `rows` settings A at a time
     half = alice.conj().reshape(n * d, d) @ s.reshape(d, d)
-    bob_t = bob.conj().reshape(n * d, d).T
+    w_re = np.concatenate([half.real, -half.imag], axis=1)
+    w_im = np.concatenate([half.imag, half.real], axis=1)
+    del half
+    # [Re; Im] of Bob's conjugated rows as columns, zero-padded to a multiple
+    # of 16: OpenBLAS rounds a ragged tile of columns differently with the
+    # number of rows, and the last bits of the tensor would then depend on
+    # the block size
+    bob = bob.reshape(n * d, d)
+    cols = np.zeros((2 * d, -(-n * d // 16) * 16))
+    cols[:d, : n * d] = bob.real.T
+    np.negative(bob.imag.T, out=cols[d:, : n * d])
     probs = np.empty((n, n, d, d))
     rows = max(1, _BORN_BLOCK // (n * d * d))
     for a in range(0, n, rows):
-        block = np.abs(half[a * d : (a + rows) * d] @ bob_t)
-        block *= block
-        probs[a : a + rows] = block.reshape(-1, d, n, d).transpose(0, 2, 1, 3)
-    dist = JointDistribution(probs)
-    dist.validate()
-    return dist
+        re = w_re[a * d : (a + rows) * d] @ cols
+        im = w_im[a * d : (a + rows) * d] @ cols
+        re *= re
+        im *= im
+        re += im
+        probs[a : a + rows] = re[:, : n * d].reshape(-1, d, n, d).transpose(0, 2, 1, 3)
+    return JointDistribution(probs)
 
 
 def joint_distribution(state: np.ndarray, settings: ChainedSettings) -> JointDistribution:

@@ -316,14 +316,18 @@ def test_joint_from_bases_matches_einsum_oracle(d, n):
 
 
 def _born_one_shot(state, alice, bob):
-    """Born-rule tensor with every amplitude from one (N d, d) @ (d, N d) product."""
+    """Born-rule tensor with the real and imaginary parts of every amplitude
+    from one (N d, 2d) @ (2d, N d) product each, Bob's columns zero-padded
+    to a multiple of 16 as in `joint_from_bases`."""
     n, d = alice.shape[0], alice.shape[1]
     half = alice.conj().reshape(n * d, d) @ np.asarray(state).reshape(d, d)
-    amp = half @ bob.conj().reshape(n * d, d).T
-    probs = np.empty((n, n, d, d))
-    np.abs(amp.reshape(n, d, n, d).transpose(0, 2, 1, 3), out=probs)
-    probs *= probs
-    return probs
+    bob_c = bob.conj().reshape(n * d, d).T
+    cols = np.zeros((2 * d, -(-n * d // 16) * 16))
+    cols[:, : n * d] = np.concatenate([bob_c.real, bob_c.imag])
+    re = (np.concatenate([half.real, -half.imag], axis=1) @ cols)[:, : n * d]
+    im = (np.concatenate([half.imag, half.real], axis=1) @ cols)[:, : n * d]
+    amp2 = re * re + im * im
+    return np.ascontiguousarray(amp2.reshape(n, d, n, d).transpose(0, 2, 1, 3))
 
 
 # (8, 200) and (7, 228) span many blocks with a ragged last one; at (100, 12)
@@ -349,7 +353,8 @@ def test_blocked_born_tensor_equals_one_shot_product_haar():
 
 
 def test_born_tensor_peak_memory_is_near_the_tensor():
-    # the one-shot (N d, N d) complex amplitude array alone is 2x the tensor
+    # the one-shot (N d, N d) complex amplitude array alone is 2x the tensor,
+    # a check of the finished tensor adds (N, N, d) marginal arrays
     state, settings = maximally_entangled(8), chained_settings(8, 200)
     tracemalloc.start()
     try:
@@ -357,7 +362,55 @@ def test_born_tensor_peak_memory_is_near_the_tensor():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * probs.nbytes
+    assert peak <= 1.25 * probs.nbytes
+
+
+def test_joint_from_bases_refuses_a_non_measurement_basis():
+    # rows |0>, |0> give a normalized, no-signaling box on this state, so
+    # only the check of the basis itself can see the defect
+    alice, bob = cglmp_bases(chained_settings(2, 2))
+    bob[0] = [[1.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="bob setting 1 is not an orthonormal basis"):
+        joint_from_bases(maximally_entangled(2), alice, bob)
+
+
+def test_joint_from_bases_names_the_first_rotated_basis_row():
+    # row 0 of Alice's settings 2 and 3 turned 1e-9 towards row 1 keeps its
+    # norm but leaves the rows 1e-9 from orthogonal
+    alice, bob = cglmp_bases(chained_settings(3, 3))
+    t = 1e-9
+    alice[1:, 0] = math.cos(t) * alice[1:, 0] + math.sin(t) * alice[1:, 1]
+    with pytest.raises(ValueError, match="alice setting 2 is not an orthonormal basis"):
+        joint_from_bases(maximally_entangled(3), alice, bob)
+
+
+def test_joint_from_bases_refuses_an_unnormalized_state():
+    alice, bob = cglmp_bases(chained_settings(3, 2))
+    with pytest.raises(ValueError, match="state is not normalized"):
+        joint_from_bases((1 + 1e-9) * maximally_entangled(3), alice, bob)
+
+
+def test_joint_from_bases_refuses_no_settings():
+    bases = np.zeros((0, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match=r"N >= 1 and d >= 2, got shape \(0, 2, 2\)"):
+        joint_from_bases(maximally_entangled(2), bases, bases)
+
+
+def test_joint_from_bases_refuses_one_outcome():
+    bases = np.ones((3, 1, 1), dtype=complex)
+    with pytest.raises(ValueError, match=r"N >= 1 and d >= 2, got shape \(3, 1, 1\)"):
+        joint_from_bases(np.ones(1), bases, bases)
+
+
+@pytest.mark.parametrize("name", ["state", "alice", "bob"])
+def test_joint_from_bases_refuses_a_non_finite_entry(name):
+    # refused before any product, where an inf raises a RuntimeWarning
+    # (an error under this suite's warning filter)
+    alice, bob = cglmp_bases(chained_settings(3, 2))
+    args = {"state": maximally_entangled(3), "alice": alice, "bob": bob}
+    args[name].flat[1] = np.inf
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+        joint_from_bases(args["state"], args["alice"], args["bob"])
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,12 @@ from cryptononlocal.leggett import (  # noqa: E402
     leggett_bound_analytic,
 )
 from cryptononlocal.quantum import (  # noqa: E402
+    PROB_TOL,
     ChainedSettings,
+    chained_settings,
     closed_form_probs,
     joint_distribution,
+    joint_from_bases,
     maximally_entangled,
 )
 from helpers import haar_unitary  # noqa: E402
@@ -42,9 +45,37 @@ def _settings(draw):
 # their relative accuracy
 @hypothesis.example(settings=ChainedSettings(3, [0.0], [-1e-9]))
 def test_closed_form_probs_matches_born_rule_at_any_finite_phase(settings):
-    # the Born-rule path validates its tensor, no-signaling included
+    # the Born-rule tensor is a distribution by construction (tested below)
     born = joint_distribution(maximally_entangled(settings.d), settings)
     assert np.abs(closed_form_probs(settings).probs - born.probs).max() <= 1e-12
+
+
+@hypothesis.settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate, hypothesis.Phase.shrink],
+)
+@hypothesis.given(
+    d=st.integers(min_value=2, max_value=8),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_born_tensor_of_checked_inputs_is_a_distribution(d, n, seed):
+    # joint_from_bases checks its state and bases, not its output: the
+    # tensor must pass the full check by construction
+    rng = np.random.default_rng(seed)
+    state = _pure_states(rng, 1, d * d)[0]
+    alice = np.stack([haar_unitary(d, rng) for _ in range(n)])
+    bob = np.stack([haar_unitary(d, rng) for _ in range(n)])
+    joint_from_bases(state, alice, bob).validate(PROB_TOL)
+
+
+def test_born_tensor_of_chained_bases_at_d100_is_a_distribution():
+    # the library's bases at the top of the d range, Gram deviation ~2e-14
+    settings = chained_settings(100, 12)
+    joint_distribution(maximally_entangled(100), settings).validate(PROB_TOL)
 
 
 # d up to 100, the largest the API is documented for; a few dozen examples
