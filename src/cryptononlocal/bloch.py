@@ -67,6 +67,42 @@ def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> 
     return value
 
 
+def _as_array(values, name: str, dtype: type = float) -> np.ndarray:
+    """``values`` as a float or complex array, the one check of every array
+    argument: its entries must be numbers.
+
+    ``np.asarray(values, dtype=float)`` would parse the strings ``"1"`` and
+    ``"0"``, take booleans as 1 and 0, and drop imaginary parts with only a
+    warning.  Here strings, booleans and, for a float target, complex entries
+    with a nonzero imaginary part raise `ValueError` naming their dtype, as
+    does input that is ragged, not numeric or past the float range (an
+    integer above 2**1024).  An array of the target dtype is returned as it is.
+    """
+    not_numbers = f"{name} is not a rectangular array of numbers"
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{not_numbers}: {exc}") from exc
+    kind = arr.dtype.kind
+    if kind not in "iufcO":
+        raise ValueError(f"{not_numbers}: it has dtype {arr.dtype}")
+    if kind == "O" or not isinstance(values, np.ndarray):
+        # numpy promotes a boolean among numbers to 1.0 and an object array
+        # parses strings, so look at each entry's own type
+        entries = arr if kind == "O" else np.array(values, dtype=object)
+        for entry_type in set(map(type, entries.flat)):
+            if issubclass(entry_type, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"{not_numbers}: an entry has dtype {entry_type.__name__}")
+    if kind == "c" and dtype is float:
+        if np.any(arr.imag):
+            raise ValueError(f"{not_numbers}: dtype {arr.dtype} with a nonzero imaginary part")
+        arr = arr.real
+    try:
+        return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{not_numbers}: {exc}") from exc
+
+
 def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     """Map normalized pure states to their unit Bloch coordinate vectors.
 
@@ -80,13 +116,14 @@ def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     ----------
     psi : complex array, shape (..., d)
         State amplitudes along the last axis, each state of unit Euclidean
-        norm (checked to 1e-12).
+        norm (checked to 1e-12).  Strings and booleans raise `ValueError`,
+        as for every array argument of the package.
 
     Returns
     -------
     real array, shape (..., d**2 - 1)
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _as_array(psi, "psi", complex)
     if psi.ndim == 0 or psi.shape[-1] < 2:
         raise ValueError("state must live in dimension >= 2")
     nrm2 = (np.abs(psi) ** 2).sum(axis=-1)
@@ -112,11 +149,12 @@ def _bloch_coords(psi: np.ndarray) -> np.ndarray:
 def bloch_to_density(u: np.ndarray) -> np.ndarray:
     """Reconstruct density matrices ``I/d + sqrt((d-1)/(2d)) sum_i u_i L_i``.
 
-    ``u`` has shape (..., d**2 - 1), the result (..., d, d); ``d`` is read
-    from the coordinate length, and a length that is not d**2 - 1 for any
-    d >= 2 raises `ValueError`.
+    ``u`` has shape (..., d**2 - 1) of real numbers, the result (..., d, d);
+    ``d`` is read from the coordinate length.  A length that is not d**2 - 1
+    for any d >= 2, or entries that are strings, booleans or complex with a
+    nonzero imaginary part (the one array check), raise `ValueError`.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = np.atleast_1d(_as_array(u, "u"))
     n = u.shape[-1]
     d = math.isqrt(n + 1)
     if n < 3 or d * d - 1 != n:

@@ -80,6 +80,12 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _verdict(summary: str, ok: bool) -> int:
+    """Print a suite's ``summary`` line with its verdict; return that verdict's exit code."""
+    print(f"{summary} -> {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
@@ -206,11 +212,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_ncrit(args) -> int:
     _settings_count("--nmax", args.nmax)
-    try:
-        print(find_critical_n(args.d, args.eta, args.nmax))
-    except CriticalNotFoundError as exc:
-        print(f"NOT-FOUND gap={fmt_human(exc.gap)}")
-        return EXIT_NOT_FOUND
+    print(find_critical_n(args.d, args.eta, args.nmax))
     return EXIT_OK
 
 
@@ -276,12 +278,7 @@ def _cmd_sweep(args) -> int:
             f"sweep of {n_rows} rows exceeds the cap of {MAX_SWEEP_ROWS} rows",
             EXIT_BAD_INPUT,
         )
-    try:
-        rows = _sweep_rows(args.fig, d_range, etas, n_range)
-    except CriticalNotFoundError as exc:
-        print(f"NOT-FOUND gap={fmt_human(exc.gap)}")
-        return EXIT_NOT_FOUND
-    text = _serialize_rows(rows, args.format)
+    text = _serialize_rows(_sweep_rows(args.fig, d_range, etas, n_range), args.format)
     if args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
@@ -333,13 +330,12 @@ def _verify_theorem1(args) -> int:
             return _fail(f"cannot read {args.input}: {exc}", EXIT_IO)
         except ValueError as exc:
             return _fail(f"bad input distribution: {exc}", EXIT_BAD_INPUT)
-        status = "PASS" if report.passed else "FAIL"
-        print(
+        return _verdict(
             f"theorem1 fixture: I_N={fmt_human(report.chained)} "
             f"max_shift={fmt_human(report.max_shift)} "
-            f"slack={fmt_human(report.slack)} -> {status}"
+            f"slack={fmt_human(report.slack)}",
+            report.passed,
         )
-        return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
     ok = True
     min_slack = float("inf")
@@ -347,12 +343,11 @@ def _verify_theorem1(args) -> int:
         report = verify_shift_bound(dist)
         ok = ok and report.passed
         min_slack = min(min_slack, report.slack)
-    status = "PASS" if ok else "FAIL"
-    print(
+    return _verdict(
         f"theorem1 suite: d={args.d} n={args.n} trials={args.trials} "
-        f"min_slack={fmt_human(min_slack)} -> {status}"
+        f"min_slack={fmt_human(min_slack)}",
+        ok,
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _verify_lemma(args) -> int:
@@ -371,13 +366,12 @@ def _verify_lemma(args) -> int:
         )
         max_triangle_violation = max(max_triangle_violation, viol)
         ok = ok and viol <= 1e-12
-    status = "PASS" if ok else "FAIL"
-    print(
+    return _verdict(
         f"lemma suite: d={args.d} n={args.n} trials={args.trials} "
         f"min_slack={fmt_human(min_slack)} "
-        f"max_triangle_violation={fmt_human(max_triangle_violation)} -> {status}"
+        f"max_triangle_violation={fmt_human(max_triangle_violation)}",
+        ok,
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _verify_lhv(args) -> int:
@@ -389,13 +383,11 @@ def _verify_lhv(args) -> int:
     minimum = _min_plus_lhv_min(args.d, args.n)
     expected = args.d - 1
     attained = strategy_chained_value(args.d, witness.alice, witness.bob)
-    ok = minimum == value == attained == expected
-    status = "PASS" if ok else "FAIL"
-    print(
+    return _verdict(
         f"lhv suite: d={args.d} n={args.n} min={minimum} expected={expected} "
-        f"witness alice={list(witness.alice)} bob={list(witness.bob)} -> {status}"
+        f"witness alice={list(witness.alice)} bob={list(witness.bob)}",
+        minimum == value == attained == expected,
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _min_plus_lhv_min(d: int, n: int) -> int:
@@ -449,14 +441,12 @@ def _verify_contradiction(args) -> int:
     alice, _ = cglmp_bases(settings)
     report = deterministic_contradiction(alice[0], alice[1], 0, 0)
     grid = _grid_max_min_overlap(report.vector_a, report.vector_b)
-    ok = report.certified and report.gap > 0 and abs(report.max_min_overlap - grid) <= 1e-3
-    status = "PASS" if ok else "FAIL"
-    print(
+    return _verdict(
         f"contradiction suite: d={args.d} max_min_overlap="
         f"{fmt_human(report.max_min_overlap)} gap={fmt_human(report.gap)} "
-        f"grid={fmt_human(grid)} -> {status}"
+        f"grid={fmt_human(grid)}",
+        report.certified and report.gap > 0 and abs(report.max_min_overlap - grid) <= 1e-3,
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def _cmd_verify(args) -> int:
@@ -496,10 +486,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
         return _HANDLERS[args.command](args)
+    except CriticalNotFoundError as exc:
+        print(f"NOT-FOUND gap={fmt_human(exc.gap)}")
+        return EXIT_NOT_FOUND
     except (ValueError, OverflowError) as exc:
-        # the library's precondition checks, and integers past the float
-        # range; CriticalNotFoundError is a ValueError too, but the
-        # handlers that expect it map it to exit 3
+        # the library's precondition checks, and integers past the float range
         return _fail(str(exc), EXIT_BAD_INPUT)
     except MemoryError as exc:
         # a request too large to hold is bad input, not a failed verification

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import (
+    _as_array,
     _bloch_coords,
     _integer,
     _normal_rows,
@@ -46,7 +47,7 @@ from .bloch import (
 from .quantum import (
     ChainedSettings,
     _chained_values,
-    _gram_deviation,
+    _check_bases,
     cglmp_bases,
     gamma_factor,
 )
@@ -87,11 +88,13 @@ class MeasurementBasisBloch:
     """One projective measurement: its outcome states, one row per outcome,
     and their Bloch vectors.
 
-    Construction is the one check: ``states`` must be a finite (d, d) array,
-    d >= 2, whose rows are orthonormal to 1e-10.  The Bloch vectors then
-    have unit norm, sum to zero and overlap pairwise by -1/(d-1), so every
-    cyclic step ``|a^x - a^{x-1}|`` is sqrt(2d/(d-1)).  Both arrays are
-    the basis's own, read-only copies.
+    Construction is the one check of every basis, `quantum._check_bases`:
+    ``states`` must be a (d, d) array of numbers (strings and booleans are
+    refused by the one array check), d >= 2, finite, whose rows are
+    orthonormal to ``PROB_TOL`` (1e-12), the tolerance `joint_from_bases`
+    checks too.  The Bloch vectors then have unit norm, sum to zero and
+    overlap pairwise by -1/(d-1), so every cyclic step ``|a^x - a^{x-1}|``
+    is sqrt(2d/(d-1)).  Both arrays are the basis's own, read-only copies.
     """
 
     states: np.ndarray  # shape (d, d), row x the outcome-x state
@@ -100,15 +103,7 @@ class MeasurementBasisBloch:
     def __post_init__(self) -> None:
         # a copy, so that no later write to the caller's array parts the
         # states from their vectors
-        states = np.array(self.states, dtype=complex)
-        d = len(states) if states.ndim else 0
-        if states.shape != (d, d) or d < 2:
-            raise ValueError(f"expected a (d >= 2, d) array of basis rows, got {states.shape}")
-        # before the Gram product, where an inf would raise a RuntimeWarning
-        if not np.isfinite(states).all():
-            raise ValueError("basis has a non-finite entry")
-        if _gram_deviation(states) > 1e-10:
-            raise ValueError("input vectors are not an orthonormal basis")
+        states = _check_bases(self.states, "basis", 2).copy()
         vectors = _bloch_coords(states)
         for name, value in (("states", states), ("vectors", vectors)):
             value.flags.writeable = False
@@ -129,10 +124,14 @@ def _purity(eta) -> float:
     return eta
 
 
-def _hidden_vector(u, d: int) -> np.ndarray:
-    """``u`` as a flat float array, refused unless it has d**2 - 1 finite coordinates."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != d * d - 1:
+def _hidden_vector(u, d: int | None, unit: bool = False) -> np.ndarray:
+    """``u`` as a flat float array by the one array check, refused unless it
+    has unit norm (when ``unit``; a NaN norm fails too) and d**2 - 1 finite
+    coordinates (any number of them when ``d`` is None)."""
+    u = _as_array(u, "u").reshape(-1)
+    if unit and not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
+        raise ValueError("u must be unit norm")
+    if d is not None and u.size != d * d - 1:
         raise ValueError(f"u has {u.size} coordinates, expected d**2 - 1 = {d * d - 1}")
     if not np.isfinite(u).all():
         raise ValueError("u has a non-finite entry")
@@ -181,8 +180,9 @@ def marginal_distribution(
 
     The flag is False when any outcome would receive a negative value at
     this ``u`` (possible for non-physical sphere points); values are
-    reported unclamped either way.  A ``u`` without d**2 - 1 coordinates, or
-    with a non-finite one, raises `ValueError`.
+    reported unclamped either way.  ``u`` goes through the one array check
+    (strings, booleans and complex entries are refused); one without
+    d**2 - 1 coordinates, or with a non-finite one, raises `ValueError`.
 
     Consecutive marginals differ by ``p_x - p_{x-1} = eta (d-1)/d
     (a^x - a^{x-1}) . u``, so at a physical ``u`` the model bound L of that
@@ -556,10 +556,7 @@ def escape_report(
     are sound, because the shift lemma ``Delta(P_X, P_{X+1}) <= I_N`` holds
     at every setting (`verify_shift_bound` checks each one).
     """
-    if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:  # a NaN norm fails too
-        raise ValueError("u must be unit norm")
-    if families:
-        u = _hidden_vector(u, families[0].alice.shape[1])
+    u = _hidden_vector(u, families[0].alice.shape[1] if families else None, unit=True)
     projections = [float(np.linalg.norm(fam.span @ u)) for fam in families]
     return [
         FamilyProjection(index=index, projection=proj, escape_possible=proj < _SPAN_TOL)

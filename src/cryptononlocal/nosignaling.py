@@ -30,14 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _integer
+from .bloch import _as_array, _integer
 from .leggett import basis_to_bloch
-from .quantum import (
-    JointDistribution,
-    _as_float_array,
-    _signaling_residuals,
-    chained_value,
-)
+from .quantum import JointDistribution, _signaling_residuals, chained_value
 
 __all__ = [
     "statistical_distance",
@@ -59,7 +54,7 @@ _NORM_TOL = 1e-9
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = _as_float_array(p, name).reshape(-1)
+    p = _as_array(p, name).reshape(-1)
     if p.size == 0:
         raise ValueError(f"{name} is empty")
     # Python's float sum, unlike ndarray.sum, never warns: any non-finite entry

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _integer
+from .bloch import _as_array, _integer
 
 __all__ = [
     "ChainedSettings",
@@ -71,7 +71,7 @@ class ChainedSettings:
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _integer("d", self.d, 2))
         for name in ("alpha", "beta"):
-            phases = _as_float_array(getattr(self, name), name)
+            phases = _as_array(getattr(self, name), name)
             if phases.ndim != 1 or phases.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D array, got {phases.shape}")
             if not np.isfinite(phases).all():
@@ -117,41 +117,6 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array, if every entry is a real number.
-
-    ``np.asarray(values, dtype=float)`` would parse the strings ``"1"`` and
-    ``"0"``, take booleans as 1 and 0, and drop imaginary parts with only a
-    warning.  Here strings, booleans and complex entries with a nonzero
-    imaginary part raise `ValueError` naming their dtype, as does input that
-    is ragged, not numeric or past the float range (an integer above
-    2**1024).  A float array is returned as it is.
-    """
-    not_real = f"{name} is not a rectangular array of numbers"
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{not_real}: {exc}") from exc
-    kind = arr.dtype.kind
-    if kind not in "iufcO":
-        raise ValueError(f"{not_real}: it has dtype {arr.dtype}")
-    if kind == "O" or not isinstance(values, np.ndarray):
-        # numpy promotes a boolean among numbers to 1.0 and an object array
-        # parses strings, so look at each entry's own type
-        entries = arr if kind == "O" else np.array(values, dtype=object)
-        for entry_type in set(map(type, entries.flat)):
-            if issubclass(entry_type, (str, bytes, bool, np.bool_)):
-                raise ValueError(f"{not_real}: an entry has dtype {entry_type.__name__}")
-    if kind == "c":
-        if np.any(arr.imag):
-            raise ValueError(f"{not_real}: dtype {arr.dtype} with a nonzero imaginary part")
-        arr = arr.real
-    try:
-        return arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{not_real}: {exc}") from exc
-
-
 def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
     """Largest spread of Alice's marginals over Bob's settings, and vice versa."""
     # einsum runs these short d-axis reductions in one pass, about twice as
@@ -179,7 +144,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _as_float_array(self.probs, "probs"))
+        object.__setattr__(self, "probs", _as_array(self.probs, "probs"))
         shape = self.probs.shape
         if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
             raise ValueError(f"probs must have shape (n, n, d, d), got {shape}")
@@ -214,14 +179,41 @@ class JointDistribution:
             raise ValueError(f"distribution signals (residual {residual:.3g} > {tol:.3g})")
 
 
-def _gram_deviation(bases: np.ndarray) -> np.ndarray:
-    """``max |U U^dagger - I|`` of each basis in a finite ``(..., d, d)``
-    stack, rows ``[outcome, :]``: 0 when its rows are orthonormal."""
-    d = bases.shape[-1]
+def _check_bases(bases, name: str, ndim: int) -> np.ndarray:
+    """``bases`` as a complex array of measurement bases, the one check of
+    every basis: one ``(d, d)`` basis (``ndim`` 2) or a stack ``(N, d, d)``
+    of N >= 1 (``ndim`` 3), d >= 2, rows ``[outcome, :]``.
+
+    It is coerced by `_as_array`, must have finite entries and must have
+    orthonormal rows, ``max |U U^dagger - I| <= PROB_TOL``; otherwise
+    `ValueError` names ``name`` and, in a stack, the first failing 1-based
+    setting.  A complex array is returned as it is.
+    """
+    bases = _as_array(bases, name, complex)
+    shape = bases.shape
+    stacked = ndim == 3
+    if bases.ndim != ndim or shape[-1] != shape[-2] or not stacked and shape[-1] < 2:
+        if stacked:
+            raise ValueError(f"{name}: basis arrays must have shape (N, d, d), got {shape}")
+        raise ValueError(f"{name}: expected a (d >= 2, d) array of basis rows, got {shape}")
+    d = shape[-1]
+    if not bases.size or d < 2:
+        raise ValueError(f"{name}: basis arrays need N >= 1 and d >= 2, got shape {shape}")
+    # before the Gram product, where an inf would raise a RuntimeWarning
+    if not np.isfinite(bases).all():
+        raise ValueError(f"{name} has a non-finite entry")
     gram = bases @ np.swapaxes(bases, -1, -2).conj()
     # the diagonals, as a strided view of the new, contiguous product
     gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0
-    return np.abs(gram).max(axis=(-2, -1))
+    deviation = np.abs(gram).max(axis=(-2, -1)).reshape(-1)
+    if deviation.max() > PROB_TOL:
+        k = np.flatnonzero(deviation > PROB_TOL)[0]
+        basis = f"{name} setting {k + 1}" if stacked else name
+        raise ValueError(
+            f"{basis} is not an orthonormal basis: "
+            f"max |U U^dagger - I| = {deviation[k]:.3g} > {PROB_TOL:g}"
+        )
+    return bases
 
 
 def joint_from_bases(
@@ -231,10 +223,11 @@ def joint_from_bases(
 
     ``alice``/``bob`` have shape (N, d, d), N >= 1 and d >= 2, with rows
     ``[setting, outcome, :]``, and ``state`` has d**2 entries.  They are
-    checked on entry, before any product, and `ValueError` names the first
-    defect: a shape, a non-finite entry, a state whose norm^2 is not 1 within
-    ``PROB_TOL``, or the first setting (1-based, Alice's before Bob's) whose
-    rows are not orthonormal, ``max |U U^dagger - I| > PROB_TOL``.
+    checked on entry, before any product, Alice's first, and `ValueError`
+    names the first defect: each stack goes through the one basis check,
+    `_check_bases` (which names the first 1-based setting whose rows are not
+    orthonormal, ``max |U U^dagger - I| > PROB_TOL``), and the state through
+    the one array check, finite with a norm^2 within ``PROB_TOL`` of 1.
 
     The tensor is then not checked again: under the Born rule with complete
     measurements it is a distribution by construction.  Its entries are
@@ -253,33 +246,19 @@ def joint_from_bases(
     Nothing here uses the phase structure of the chained bases, so this stays
     the independent reference for `closed_form_probs`.
     """
-    alice = np.asarray(alice, dtype=complex)
-    bob = np.asarray(bob, dtype=complex)
-    if alice.ndim != 3 or alice.shape[1] != alice.shape[2]:
-        raise ValueError(f"basis arrays must have shape (N, d, d), got {alice.shape}")
+    alice = _check_bases(alice, "alice", 3)
+    bob = _check_bases(bob, "bob", 3)
     if bob.shape != alice.shape:
         raise ValueError("Alice and Bob basis arrays must share a shape")
     n, d = alice.shape[0], alice.shape[1]
-    if n < 1 or d < 2:
-        raise ValueError(f"basis arrays need N >= 1 and d >= 2, got shape {alice.shape}")
-    s = np.asarray(state, dtype=complex).reshape(-1)
+    s = _as_array(state, "state", complex).reshape(-1)
     if s.shape[0] != d * d:
         raise ValueError(f"state length {s.shape[0]} does not match d={d}")
-    # before any product, where an inf would raise a RuntimeWarning
-    for name, value in (("state", s), ("alice", alice), ("bob", bob)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} has a non-finite entry")
+    if not np.isfinite(s).all():
+        raise ValueError("state has a non-finite entry")
     norm2 = np.vdot(s, s).real
     if abs(norm2 - 1.0) > PROB_TOL:
         raise ValueError(f"state is not normalized: norm^2 - 1 = {norm2 - 1.0:.3g}")
-    for name, bases in (("alice", alice), ("bob", bob)):
-        deviation = _gram_deviation(bases)
-        if deviation.max() > PROB_TOL:
-            k = np.flatnonzero(deviation > PROB_TOL)[0]
-            raise ValueError(
-                f"{name} setting {k + 1} is not an orthonormal basis: "
-                f"max |U U^dagger - I| = {deviation[k]:.3g} > {PROB_TOL:g}"
-            )
     # re[(A, X), (B, Y)] + i im[...] = <X_A (x) Y_B | psi>, `rows` settings A at a time
     half = alice.conj().reshape(n * d, d) @ s.reshape(d, d)
     w_re = np.concatenate([half.real, -half.imag], axis=1)

@@ -252,13 +252,12 @@ def test_expected_abs_projection_values():
 def test_expected_abs_projection_matches_mpmath():
     # the Bloch dimensions n = d^2 - 1 up to d = 100, both sides of the
     # switch to the series at n = 200, and n far beyond any Bloch space
-    mpmath = pytest.importorskip("mpmath")
+    from reference import kappa, mpmath
+
     ns = {d * d - 1 for d in range(2, 101)} | {199, 200, 201, 10**6, 10**9, 10**12}
     with mpmath.workdps(40):
         for n in sorted(ns):
-            half = mpmath.mpf(n) / 2
-            exact = mpmath.gamma(half) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(half + 0.5))
-            rel = abs(float(mpmath.mpf(expected_abs_projection(n)) / exact - 1))
+            rel = abs(float(mpmath.mpf(expected_abs_projection(n)) / kappa(n) - 1))
             # the gamma ratio below n = 200 errs by up to 6.7e-16, the series by 4e-16
             assert rel <= 1e-15, f"n={n}: relative error {rel:.3g}"
 

@@ -750,16 +750,30 @@ def test_measurement_basis_arrays_are_read_only():
             array[0, 0] = 5
 
 
-def test_measurement_basis_orthonormal_to_1e_10_is_accepted():
-    # the Gram check at 1e-10 is the one check: a row with |psi|^2 = 1 + 5e-11
-    # once passed it and was then refused by state_to_bloch's 1e-12 norm check
+def test_measurement_basis_orthonormal_to_1e_12_is_accepted():
+    # the Gram check at PROB_TOL = 1e-12 is the one check of every basis: a
+    # row with |psi|^2 = 1 + 5e-13 passes it, one with 1 + 1.1e-12 does not
     states = np.eye(3, dtype=complex)
-    states[0] *= math.sqrt(1 + 5e-11)
+    states[0] *= math.sqrt(1 + 5e-13)
     mb = MeasurementBasisBloch(states)
-    assert np.abs(np.linalg.norm(mb.vectors, axis=1) - 1.0).max() < 1e-10
-    states[0] *= math.sqrt(1 + 1e-10)
+    assert np.abs(np.linalg.norm(mb.vectors, axis=1) - 1.0).max() < 1e-12
+    states[0] = np.eye(3)[0] * math.sqrt(1 + 1.1e-12)
     with pytest.raises(ValueError, match="not an orthonormal basis"):
         MeasurementBasisBloch(states)
+
+
+def test_one_tolerance_for_both_basis_checks():
+    # Alice's setting-1 chained basis at d = 3 with row 0 turned 1e-11
+    # towards row 1: basis_to_bloch once accepted it at 1e-10 while
+    # joint_from_bases refused it at 1e-12
+    alice, bob = cglmp_bases(chained_settings(3, 1))
+    t = 1e-11
+    alice[0, 0] = math.cos(t) * alice[0, 0] + math.sin(t) * alice[0, 1]
+    with pytest.raises(ValueError, match=r"^basis is not an orthonormal basis: .* = 1e-11 > 1e-12"):
+        basis_to_bloch(alice[0])
+    needle = r"^alice setting 1 is not an orthonormal basis: .* = 1e-11 > 1e-12"
+    with pytest.raises(ValueError, match=needle):
+        joint_from_bases(maximally_entangled(3), alice, bob)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

@@ -176,13 +176,10 @@ def test_analytic_bound_matches_mpmath(d, eta):
     below the smallest normal float (eta below ~1e-305) carries an absolute
     error of up to two subnormal steps instead: the float cannot hold it
     more closely."""
-    mpmath = pytest.importorskip("mpmath")
-    n = d * d - 1
+    from reference import kappa, mpmath
+
     with mpmath.workdps(40):
-        kappa = mpmath.gamma(mpmath.mpf(n) / 2) / (
-            mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n + 1) / 2)
-        )
         step = mpmath.sqrt(mpmath.mpf(2 * d) / (d - 1))
-        exact = mpmath.mpf(eta) * (d - 1) / d**2 * d * step * kappa
+        exact = mpmath.mpf(eta) * (d - 1) / d**2 * d * step * kappa(d * d - 1)
         error = abs(mpmath.mpf(leggett_bound_analytic(d, eta).value) - exact)
         assert error <= 1e-15 * exact + 2 * mpmath.mpf(5e-324)
