@@ -126,7 +126,9 @@ def state_to_bloch(psi: np.ndarray) -> np.ndarray:
     psi = _as_array(psi, "psi", complex)
     if psi.ndim == 0 or psi.shape[-1] < 2:
         raise ValueError("state must live in dimension >= 2")
-    nrm2 = (np.abs(psi) ** 2).sum(axis=-1)
+    # huge finite entries overflow to an inf norm, refused below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm2 = (np.abs(psi) ** 2).sum(axis=-1)
     bad = ~(np.abs(nrm2 - 1.0) <= 1e-12)  # a NaN norm fails too
     if bad.any():
         raise ValueError(f"state is not normalized: |psi|^2 = {float(nrm2[bad][0])!r}")
@@ -237,7 +239,7 @@ def sample_sphere(n: int, rng: np.random.Generator, size: int | None = None) -> 
     n = _integer("n", n, 1)
     m = 1 if size is None else _integer("size", size, 0)
     (x,) = _normal_rows(rng, m, n)
-    x /= np.linalg.norm(x, axis=1)[:, None]
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
     return x[0] if size is None else x
 
 

@@ -41,7 +41,6 @@ from .bloch import (
     _integer,
     _normal_rows,
     expected_abs_projection,
-    sample_sphere,
     substream,
 )
 from .quantum import (
@@ -249,17 +248,18 @@ def leggett_bound_mc(
     Haar-pure, so that one pass over the block's right-hand operand serves
     64 samples rather than a handful.
 
-    Sphere-uniform blocks are drawn one `sample_sphere` call each.  Where
-    the floor binds, a block's projection onto the d difference vectors is
+    A sphere-uniform block is one `_normal_rows` call (the draws of
+    `sample_sphere`), left unnormalized: a row x's value is homogeneous of
+    degree 1 in u = x/|x| (Muller), so it is divided once by |x|.  Where the
+    floor binds, a block's projection onto the d difference vectors is
     summed left to right over slices of ``2**18 // (64 d)`` coordinates,
-    one product each, so every product still runs in the calling thread
-    and the last bits do not depend on the BLAS thread count.  A block
-    holds ``max(2 MiB / d, 512 (d^2 - 1) bytes)`` of draws (5 MB at
-    d = 100), and a worker holds one block and its chunk's 512 KiB of
-    per-sample values at a time.  Drawing a stream in blocks reads the same
-    numbers as drawing it at once, except that a redraw of a row whose norm
-    falls below 1e-12 (probability below 1e-30 per row) happens after that
-    row's block rather than after the whole chunk.
+    one product each, so every product runs in the calling thread and the
+    last bits do not depend on the BLAS thread count.  A block holds
+    ``max(2 MiB / d, 512 (d^2 - 1) bytes)`` of draws (5 MB at d = 100), and
+    a worker holds one block and its chunk's 512 KiB of per-sample values
+    at a time.  Drawing a stream in blocks reads the same numbers as drawing
+    it at once, except that a redraw of a row whose norm falls below 1e-12
+    (probability below 1e-30 per row) happens after its block, not its chunk.
 
     Haar-pure states are never built as complex arrays, never normalized
     and never mapped to Bloch vectors.  A sample is a raw complex Gaussian
@@ -322,11 +322,11 @@ def leggett_bound_mc(
             q -= np.roll(q, 1, axis=0)
             np.abs(q, out=q)
             return coef * q.sum(axis=0) / sq[lo : lo + k]
-        u = sample_sphere(n_dim, gen, size=k)
-        proj = u[:, :span] @ diffs[:, :span].T
+        (x,) = _normal_rows(gen, k, n_dim)
+        proj = x[:, :span] @ diffs[:, :span].T
         for c in range(span, n_dim, span):
-            proj += u[:, c : c + span] @ diffs[:, c : c + span].T
-        return coef * np.abs(proj).sum(axis=1)
+            proj += x[:, c : c + span] @ diffs[:, c : c + span].T
+        return coef * np.abs(proj).sum(axis=1) / np.sqrt(np.einsum("ij,ij->i", x, x))
 
     def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _as_array, _integer
-from .leggett import basis_to_bloch
-from .quantum import JointDistribution, _signaling_residuals, chained_value
+from .bloch import _as_array, _bloch_coords, _integer
+from .quantum import JointDistribution, _check_bases, _signaling_residuals, chained_value
 
 __all__ = [
     "statistical_distance",
@@ -292,11 +291,12 @@ def deterministic_contradiction(
     attained at the normalized bisector.  Equal vectors yield no
     certificate; antipodal vectors give max 0 (gap 1).  The outcomes
     ``x1`` and ``x2`` are integers in 0..d-1: a bool or a float raises
-    `TypeError`, an outcome out of range `ValueError`.  Bases of two
-    different dimensions raise `ValueError` too.
+    `TypeError`, an outcome out of range `ValueError`.  Each basis goes
+    through the one basis check, named ``basis1`` or ``basis2``; bases of
+    two different dimensions raise `ValueError` too.
     """
-    vectors1 = basis_to_bloch(basis1).vectors
-    vectors2 = basis_to_bloch(basis2).vectors
+    vectors1 = _bloch_coords(_check_bases(basis1, "basis1", 2))
+    vectors2 = _bloch_coords(_check_bases(basis2, "basis2", 2))
     d = len(vectors1)
     if len(vectors2) != d:
         raise ValueError(f"bases of different dimensions: d={d} and d={len(vectors2)}")

@@ -199,15 +199,19 @@ def _check_bases(bases, name: str, ndim: int) -> np.ndarray:
     d = shape[-1]
     if not bases.size or d < 2:
         raise ValueError(f"{name}: basis arrays need N >= 1 and d >= 2, got shape {shape}")
-    # before the Gram product, where an inf would raise a RuntimeWarning
+    # named as such, before the Gram product would turn it into a NaN
     if not np.isfinite(bases).all():
         raise ValueError(f"{name} has a non-finite entry")
-    gram = bases @ np.swapaxes(bases, -1, -2).conj()
-    # the diagonals, as a strided view of the new, contiguous product
-    gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0
-    deviation = np.abs(gram).max(axis=(-2, -1)).reshape(-1)
-    if deviation.max() > PROB_TOL:
-        k = np.flatnonzero(deviation > PROB_TOL)[0]
+    # huge finite entries overflow to inf, and inf * 0 to NaN: both are
+    # refused below by name, not by a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = bases @ np.swapaxes(bases, -1, -2).conj()
+        # the diagonals, as a strided view of the new, contiguous product
+        gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0
+        deviation = np.abs(gram).max(axis=(-2, -1)).reshape(-1)
+    bad = ~(deviation <= PROB_TOL)  # a NaN deviation fails too
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
         basis = f"{name} setting {k + 1}" if stacked else name
         raise ValueError(
             f"{basis} is not an orthonormal basis: "

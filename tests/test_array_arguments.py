@@ -55,17 +55,16 @@ ENTRY_POINTS = {
         "bob",
         False,
     ),
-    # both bases reach the one check through basis_to_bloch, as "basis"
     "deterministic_contradiction basis1": (
         lambda v: deterministic_contradiction(v, _HADAMARD, 0, 0),
         _EYE,
-        "basis",
+        "basis1",
         False,
     ),
     "deterministic_contradiction basis2": (
         lambda v: deterministic_contradiction(_HADAMARD, v, 0, 0),
         _EYE,
-        "basis",
+        "basis2",
         False,
     ),
 }

@@ -122,6 +122,13 @@ def test_unnormalized_state_rejected():
         state_to_bloch(np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("psi", [[1e200, 0], [1e200 + 1e200j, 0], [0, 1e308 + 1e308j]])
+def test_huge_finite_state_is_refused_by_name_not_by_an_overflow_warning(psi):
+    # |psi|^2 overflows to inf; warnings are errors under this suite
+    with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = inf$"):
+        state_to_bloch(psi)
+
+
 def test_orthogonal_state_overlaps():
     # orthogonal pure states sit at the extreme overlap -1/(d-1)
     for d, expected in [(3, -0.5), (4, -1.0 / 3.0)]:

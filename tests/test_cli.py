@@ -75,6 +75,13 @@ def test_bound_mc_consistent_with_analytic(capsys):
     assert abs(value - 0.336048) < 3 * stderr
 
 
+def test_bound_mc_default_bytes(capsys):
+    # the bytes the benchmark's pinned digest of `bound --d 3 --mc` reads:
+    # a change to the Monte Carlo kernel that moves them fails here
+    code, out, _ = run_cli(capsys, "bound", "--d", "3", "--mc")
+    assert (code, out) == (0, "0.336143444499 ± 0.000149599913\n")
+
+
 def test_ncrit(capsys):
     code, out, _ = run_cli(capsys, "ncrit", "--d", "3", "--eta", "1.0", "--nmax", "100")
     assert (code, out) == (0, "15\n")

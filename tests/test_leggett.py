@@ -90,6 +90,24 @@ def test_measurement_basis_bloch_rejects_non_finite_states(bad):
         MeasurementBasisBloch(states)
 
 
+@pytest.mark.parametrize(
+    "basis, deviation",
+    [
+        # the Gram product overflows to inf
+        (np.eye(2) * 1e200, "inf"),
+        # complex inf * 0 terms make it NaN, which is refused as well
+        (np.full((2, 2), 1e200 + 1e200j), "nan"),
+    ],
+)
+def test_huge_finite_basis_is_refused_by_name_not_by_an_overflow_warning(basis, deviation):
+    # warnings are errors under this suite, so an escaped overflow fails here
+    needle = f"is not an orthonormal basis: max |U U^dagger - I| = {deviation} > 1e-12"
+    with pytest.raises(ValueError, match="^basis " + re.escape(needle)):
+        basis_to_bloch(basis)
+    with pytest.raises(ValueError, match="^alice setting 2 " + re.escape(needle)):
+        joint_from_bases(maximally_entangled(2), [np.eye(2), basis], [np.eye(2)] * 2)
+
+
 def test_measurement_basis_bloch_reads_d_from_vectors():
     mb = _cglmp_basis(4)
     assert mb.d == 4
