@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _as_array, _bloch_coords, _integer
-from .quantum import JointDistribution, _check_bases, _signaling_residuals, chained_value
+from .quantum import JointDistribution, _chain_terms, _check_bases, _signaling_residuals
+from .quantum import chained_value
 
 __all__ = [
     "statistical_distance",
@@ -215,7 +216,7 @@ class DeterministicStrategy:
 
 
 def strategy_chained_value(d: int, alice, bob) -> int:
-    """I_N of a deterministic strategy; always an integer.
+    """I_N of a deterministic strategy, over `quantum._chain_terms`; an integer.
 
     Outcomes must be integers in 0..d-1.  A side whose array has a float or
     boolean dtype, or holds a value out of range, raises `ValueError`.  An
@@ -238,9 +239,10 @@ def strategy_chained_value(d: int, alice, bob) -> int:
             raise ValueError(f"{name} outcomes are out of range 0..{d - 1}")
     # the default integer width, so that a - b cannot wrap in a narrow or unsigned dtype
     a, b = a.astype(int, copy=False), b.astype(int, copy=False)
-    a_next = np.roll(a, -1)
-    a_next[-1] = a[0] + 1
-    return int(np.sum((a - b) % d) + np.sum((b - a_next) % d))
+    return sum(
+        int(np.sum((sign * (a[i : i + k] - b[j : j + k]) - shift) % d))
+        for sign, shift, i, j, k in _chain_terms(a.size)
+    )
 
 
 def lhv_min_chained(d: int, n: int) -> tuple[int, DeterministicStrategy]:
@@ -248,14 +250,12 @@ def lhv_min_chained(d: int, n: int) -> tuple[int, DeterministicStrategy]:
 
     I_N is linear in the distribution, so over local models (deterministic
     or mixed) its minimum is attained at a deterministic strategy, outcomes
-    a_i for Alice and b_i for Bob.  Its 2n chain terms
-    ``[a_i - b_i]`` and ``[b_i - a_{i+1}]`` (``[.]`` is mod d, a_{n+1} =
-    a_1 + 1) are integers in 0..d-1 whose sum is congruent to the
-    telescoped ``a_1 - (a_1 + 1) = -1``, i.e. to d - 1, modulo d.  A
-    non-negative integer congruent to d - 1 is at least d - 1, and the
-    all-zero strategy attains it (every term is 0 except the wrap term,
-    d - 1).  This is the local-causality floor of Barrett, Kent and
-    Pironio, PRL 97, 170409 (2006).
+    a_i for Alice and b_i for Bob.  Its 2n chain terms (`quantum._chain_terms`,
+    with a_{n+1} = a_1 + 1) are integers in 0..d-1 whose sum telescopes to
+    ``a_1 - (a_1 + 1) = -1``, i.e. to d - 1, modulo d.  A non-negative integer
+    congruent to d - 1 is at least d - 1, and the all-zero strategy attains it
+    (every term is 0 but the wrap term, d - 1): the local-causality floor of
+    Barrett, Kent and Pironio, PRL 97, 170409 (2006).
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
     zeros = (0,) * n

@@ -11,11 +11,11 @@ with the limit 1/d when ``m + f`` is a multiple of d.  The chained quantity
 
     I_N = sum_i ( <[X_i - Y_i]> + <[Y_i - X_{i+1}]> ),   X_{N+1} := X_1 + 1,
 
-([.] is mod d, <.> the mean) collapses to ``2 N t`` on this distribution,
-where ``t`` is the mean of m under the closed form at ``f = 1/(2N)``.  That
-identity is what `cglmp_chained_value` evaluates; the Born-rule tensor path
-is kept as the reference implementation and the two are cross-checked in
-the test suite.
+([.] is mod d, <.> the mean; `_chain_terms` is the one list of its 2N terms)
+collapses to ``2 N t`` on this distribution, where ``t`` is the mean of m
+under the closed form at ``f = 1/(2N)``.  That identity is what
+`cglmp_chained_value` evaluates; the Born-rule tensor path is kept as the
+reference implementation and the two are cross-checked in the test suite.
 
 Setting indices A, B are 1-based (phases alpha_A = (A - 1/2)/N and
 beta_B = B/N are defined for A, B = 1 .. N); probability tensors are
@@ -137,8 +137,8 @@ class JointDistribution:
     """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``.
 
     The one form every tensor reader takes.  ``probs`` is converted once, on
-    construction, to a float array of shape (n, n, d, d); any other shape, or
-    input that is not a rectangular array of real numbers, raises `ValueError`.
+    construction, to a float array of shape (n, n, d, d), n >= 1, d >= 2; any other
+    shape, or input that is not a rectangular array of real numbers, raises `ValueError`.
     """
 
     probs: np.ndarray
@@ -146,8 +146,8 @@ class JointDistribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _as_array(self.probs, "probs"))
         shape = self.probs.shape
-        if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3]:
-            raise ValueError(f"probs must have shape (n, n, d, d), got {shape}")
+        if len(shape) != 4 or not shape[0] == shape[1] >= 1 or not shape[2] == shape[3] >= 2:
+            raise ValueError(f"probs must have shape (n, n, d, d), got {shape} (n >= 1, d >= 2)")
 
     @property
     def n(self) -> int:
@@ -163,6 +163,8 @@ class JointDistribution:
         the other party's settings.  Boxes built as distributions are not
         checked (`closed_form_probs`, `random_no_signaling`, and
         `joint_from_bases`, which checks its state and bases instead)."""
+        if not tol >= 0.0:  # a NaN tol would pass every check below
+            raise ValueError(f"tol must be a non-negative number, got {tol!r}")
         p = self.probs
         # NaN compares False, so the sign and sum checks would pass it.  The
         # sums of finite entries can overflow too, so np.isfinite decides
@@ -335,29 +337,27 @@ def closed_form_probs(settings: ChainedSettings) -> JointDistribution:
     return JointDistribution(blocks[where.reshape(n, n)])
 
 
-def chained_value(dist: JointDistribution) -> float:
-    """The chained quantity I_N of a joint distribution.
+def _chain_terms(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The one definition of the chain's 2N terms, N = ``n`` >= 1: runs ``(sign, shift,
+    A0, B0, length)`` of terms ``[sign (X_A - Y_B) - shift]`` at 0-based setting pairs
+    ``(A0 + i, B0 + i)``, i < length: ``[X_i - Y_i]``, ``[Y_i - X_{i+1}]``, ``[Y_N - X_1 - 1]``."""
+    return ((1, 0, 0, 0, n), (-1, 0, 1, 0, n - 1), (-1, 1, 0, n - 1, 1))
 
-    The wrap pairs setting A=1 with B=N and shifts Alice's outcome by one.
-    """
-    probs, n = dist.probs, dist.n
-    w_xy, w_yx, w_wrap = _chain_weights(dist.d)
-    diag = np.einsum("iixy->xy", probs)
-    total = float((w_xy * diag).sum())
-    if n > 1:
-        above = np.einsum("iixy->xy", probs[1:, :-1])
-        total += float((w_yx * above).sum())
-    total += float((w_wrap * probs[0, n - 1]).sum())
-    return total
+
+def chained_value(dist: JointDistribution) -> float:
+    """The chained quantity I_N of a joint distribution, run by run of `_chain_terms`."""
+    return sum(
+        float((w * np.einsum("iixy->xy", dist.probs[a : a + k, b : b + k])).sum())
+        for (_, _, a, b, k), w in zip(_chain_terms(dist.n), _chain_weights(dist.d))
+    )
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_weights(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only weights ``[X - Y]``, ``[Y - X]`` and ``[Y - X - 1]`` (mod d)
-    of the chain terms, indexed ``[X, Y]``."""
-    x = np.arange(d)[:, None]
-    y = np.arange(d)[None, :]
-    weights = ((x - y) % d, (y - x) % d, (y - x - 1) % d)
+def _chain_weights(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only weights ``[sign (X - Y) - shift]`` (mod d), indexed ``[X, Y]``,
+    of the runs of `_chain_terms`, whose signs and shifts do not depend on N."""
+    x, y = np.ogrid[:d, :d]
+    weights = tuple((sign * (x - y) - shift) % d for sign, shift, *_ in _chain_terms(1))
     for w in weights:
         w.flags.writeable = False
     return weights

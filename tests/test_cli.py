@@ -82,6 +82,16 @@ def test_bound_mc_default_bytes(capsys):
     assert (code, out) == (0, "0.336143444499 ± 0.000149599913\n")
 
 
+def test_theorem1_default_bytes(capsys):
+    # the bytes the benchmark's pinned digest of `verify --suite theorem1
+    # --trials 1000` reads: a change to chained_value that moves them fails here
+    code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1", "--trials", "1000")
+    assert (code, out) == (
+        0,
+        "theorem1 suite: d=3 n=3 trials=1000 min_slack=1.470948704449 -> PASS\n",
+    )
+
+
 def test_ncrit(capsys):
     code, out, _ = run_cli(capsys, "ncrit", "--d", "3", "--eta", "1.0", "--nmax", "100")
     assert (code, out) == (0, "15\n")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cryptononlocal.bloch import sample_haar_pure, substream
-from cryptononlocal.nosignaling import check_no_signaling, random_no_signaling
+from cryptononlocal.nosignaling import (
+    check_no_signaling,
+    random_no_signaling,
+    strategy_chained_value,
+    verify_shift_bound,
+)
 from cryptononlocal.quantum import (
     ChainedSettings,
     JointDistribution,
@@ -110,6 +115,21 @@ def _chain_terms_value(dist):
     terms += [expected_mod(dist, i + 1, i, sign=-1) for i in range(1, n)]
     terms.append(expected_mod(dist, 1, n, sign=-1, offset=-1))
     return math.fsum(terms)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_strategy_value_matches_its_deterministic_box(d):
+    # the two readers of the chain's terms, and the oracle, on strategies
+    # other than all-zero: a wrong wrap sign in either one fails here
+    rng = substream(83, d)
+    for n in range(1, 9):
+        for trial in range(6):
+            alice, bob = rng.integers(0, d, size=(2, n))
+            probs = np.zeros((n, n, d, d))
+            probs[np.arange(n)[:, None], np.arange(n), alice[:, None], bob] = 1.0
+            box = JointDistribution(probs)
+            value = strategy_chained_value(d, alice, bob)
+            assert chained_value(box) == _chain_terms_value(box) == value
 
 
 def test_expected_mod():
@@ -513,11 +533,34 @@ def test_joint_distribution_converts_nested_lists_once():
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3)], ids=["3d", "settings", "outcomes"]
+    "shape",
+    [(2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3), (0, 0, 2, 2), (2, 2, 0, 0), (1, 1, 1, 1)],
+    ids=["3d", "settings", "outcomes", "no-settings", "no-outcomes", "one-outcome"],
 )
 def test_joint_distribution_rejects_a_shape_other_than_n_n_d_d(shape):
+    # an empty box once reached numpy's "zero-size array" error in validate,
+    # an IndexError in chained_value; a d = 1 box passed verify_shift_bound
     with pytest.raises(ValueError, match=re.escape(f"(n, n, d, d), got {shape}")):
         JointDistribution(np.full(shape, 0.25))
+
+
+def test_validate_refuses_a_nan_tol():
+    # NaN compares False, so this box, which signals and sums to 7 at
+    # setting pair (1, 1), once passed every check
+    probs = _signaling_box(3, 2, 0.3)
+    probs[0, 0, 0, 0] += 6.0
+    dist = JointDistribution(probs)
+    for check in (dist.validate, lambda tol: verify_shift_bound(dist, tol)):
+        with pytest.raises(ValueError, match="tol must be a non-negative number, got nan"):
+            check(float("nan"))
+
+
+def test_validate_refuses_a_negative_tol():
+    # a box without a negative entry was reported as "negative probability entry"
+    dist = _uniform_dist(3, 2)
+    for check in (dist.validate, lambda tol: verify_shift_bound(dist, tol)):
+        with pytest.raises(ValueError, match="tol must be a non-negative number, got -1.0"):
+            check(-1.0)
 
 
 def test_joint_distribution_reads_d_and_n_from_probs():
