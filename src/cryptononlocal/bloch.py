@@ -153,14 +153,17 @@ def bloch_to_density(u: np.ndarray) -> np.ndarray:
 
     ``u`` has shape (..., d**2 - 1) of real numbers, the result (..., d, d);
     ``d`` is read from the coordinate length.  A length that is not d**2 - 1
-    for any d >= 2, or entries that are strings, booleans or complex with a
-    nonzero imaginary part (the one array check), raise `ValueError`.
+    for any d >= 2, entries that are strings, booleans or complex with a
+    nonzero imaginary part (the one array check), and NaN or infinite
+    entries raise `ValueError`.
     """
     u = np.atleast_1d(_as_array(u, "u"))
     n = u.shape[-1]
     d = math.isqrt(n + 1)
     if n < 3 or d * d - 1 != n:
         raise ValueError(f"coordinate length {n} is not d**2 - 1 for any d >= 2")
+    if not np.isfinite(u).all():
+        raise ValueError("u has a non-finite entry")
     k, j = np.tril_indices(d, -1)
     m = len(k)
     sym, anti = u[..., :m], u[..., m : 2 * m]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _as_array, _bloch_coords, _integer
-from .quantum import JointDistribution, _chain_terms, _check_bases, _signaling_residuals
+from .quantum import JointDistribution, _chain_terms, _check_bases, _check_tol, _signaling_residuals
 from .quantum import chained_value
 
 __all__ = [
@@ -91,7 +91,9 @@ class NoSignalingReport:
 
 
 def check_no_signaling(dist: JointDistribution, tol: float = 1e-12) -> NoSignalingReport:
-    """Largest variation of either party's marginals across remote settings."""
+    """Largest variation of either party's marginals across remote settings;
+    a NaN or negative ``tol`` raises `ValueError`."""
+    _check_tol(tol)
     res_a, res_b = _signaling_residuals(dist.probs)
     residual = max(res_a, res_b)
     return NoSignalingReport(
@@ -194,8 +196,9 @@ def check_agreement_bound(
     """Check ``P(X_A = Y_B) <= 1 - Delta(P_{X_A}, P_{Y_B})`` at one pair.
 
     ``a`` and ``b`` are 1-based setting indices; a bool or a float raises
-    `TypeError`, an index outside 1..n `ValueError`.
+    `TypeError`, an index outside 1..n or a NaN or negative ``tol`` `ValueError`.
     """
+    _check_tol(tol)
     a = _integer("setting index a", a, 1, dist.n)
     b = _integer("setting index b", b, 1, dist.n)
     block = dist.probs[a - 1, b - 1]

@@ -7,7 +7,7 @@ distribution depends on the setting pair only through the phase gap
 
     P((Y - X) mod d = m | A, B) = sin^2(pi (m+f)) / (d^2 sin^2(pi (m+f)/d)),
 
-with the limit 1/d when ``m + f`` is a multiple of d.  The chained quantity
+with the limit 1 when ``m + f`` is a multiple of d.  The chained quantity
 
     I_N = sum_i ( <[X_i - Y_i]> + <[Y_i - X_{i+1}]> ),   X_{N+1} := X_1 + 1,
 
@@ -132,6 +132,13 @@ def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
     )
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a NaN or negative tolerance: NaN compares False, so a check at
+    it passes everything or nothing, and a negative one fails exact input."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Conditional outcome distribution P(X, Y | A, B), ``probs[A-1, B-1, X, Y]``.
@@ -163,8 +170,7 @@ class JointDistribution:
         the other party's settings.  Boxes built as distributions are not
         checked (`closed_form_probs`, `random_no_signaling`, and
         `joint_from_bases`, which checks its state and bases instead)."""
-        if not tol >= 0.0:  # a NaN tol would pass every check below
-            raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+        _check_tol(tol)
         p = self.probs
         # NaN compares False, so the sign and sum checks would pass it.  The
         # sums of finite entries can overflow too, so np.isfinite decides
@@ -296,23 +302,21 @@ def joint_distribution(state: np.ndarray, settings: ChainedSettings) -> JointDis
     return joint_from_bases(state, alice, bob)
 
 
-def _difference_probs(d: int, f: np.ndarray) -> np.ndarray:
-    """Closed-form P((Y-X) mod d = m) for float phase gaps ``f``; shape f.shape + (d,)."""
-    theta = f[..., None] + np.arange(d)
-    x = theta / d
-    turns = np.round(x)
-    small = np.abs(x - turns)
-    # near a nonzero multiple of d both sines lose their relative accuracy, so
-    # take them at the offset from it, exact by Sterbenz: the period is d
-    theta -= d * turns * (small < 0.25 / d)
-    pi_theta = np.pi * theta
+def _difference_probs(d: int, r: np.ndarray) -> np.ndarray:
+    """The one evaluation of the closed form: ``P_m = sin^2(pi theta) / (d^2
+    sin^2(pi theta / d))`` at ``theta = r + m`` for reduced gaps ``r`` in
+    [-1/2, 1/2] and classes m = 1 .. d-1; shape r.shape + (d,).
+
+    Every such theta lies at least 1/2 from each multiple of d, so neither
+    sine vanishes and no limit is needed.  Column m = 0, the class at
+    ``theta = r`` that may sit on the limit, is left exactly 0 (its weight in
+    I_N); `closed_form_probs` fills it as the complement of the others.
+    """
+    pi_theta = np.pi * (r[..., None] + np.arange(d))
     den = np.sin(pi_theta / d) ** 2
+    den[..., 0] = np.inf
     num = np.sin(pi_theta) ** 2
-    safe = small > 1e-12
-    out = np.empty_like(den)
-    out[safe] = num[safe] / (d * d * den[safe])
-    out[~safe] = 1.0  # theta = 0 (mod d): the class soaks up all the weight
-    return out
+    return num / (d * d * den)
 
 
 def closed_form_probs(settings: ChainedSettings) -> JointDistribution:
@@ -321,18 +325,26 @@ def closed_form_probs(settings: ChainedSettings) -> JointDistribution:
 
     Entry (A, B, X, Y) is ``sin^2(pi theta) / (d^3 sin^2(pi theta / d))``
     with ``theta = Y - X + alpha_A - beta_B``, taking the limit 1/d at
-    theta = 0 (mod d).  The closed form is evaluated once per distinct
-    phase gap ``alpha_A - beta_B`` (1296 of them for the standard settings
-    at N = 200, against 40 000 setting pairs) and whole d x d blocks are
-    gathered from there, so every entry is the one an entrywise evaluation
-    gives, bit for bit.  Being a distribution by construction, it is not validated.
+    theta = 0 (mod d).  Each distinct phase gap (1296 for the standard
+    settings at N = 200, against 40 000 setting pairs) is split exactly
+    into ``t = round(gap)`` and ``r = gap - t`` in [-1/2, 1/2]; as the law
+    has period d in theta, class m of the gap is the kernel's column
+    ``(m + t) mod d`` at r, and column 0, the one class near a multiple of
+    d, is one minus the others, so each block sums to 1 to rounding.  Whole
+    d x d blocks are gathered from there.  Being a distribution by
+    construction, it is not validated.
     """
     d, n = settings.d, settings.n
     gaps, where = np.unique(
         np.subtract.outer(settings.alpha, settings.beta), return_inverse=True
     )
+    turns = np.round(gaps).astype(int)
+    pm = _difference_probs(d, gaps - turns)  # (gap, class at r)
+    pm[:, 0] = 1.0 - pm[:, 1:].sum(axis=1)
+    # flat indices into pm of class m = 0 .. d-1 of each gap
+    classes = (turns[:, None] + np.arange(d)) % d + np.arange(0, pm.size, d)[:, None]
     m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # m[X, Y] = (Y-X) mod d
-    blocks = _difference_probs(d, gaps)[:, m] / d  # (gap, X, Y)
+    blocks = (pm.take(classes) / d)[:, m]  # (gap, X, Y)
     # numpy 2.0 returns the inverse in the input's shape, 1.x flat
     return JointDistribution(blocks[where.reshape(n, n)])
 
@@ -366,36 +378,16 @@ def _chain_weights(d: int) -> tuple[np.ndarray, ...]:
 def _chained_values(d: int, ns) -> np.ndarray:
     """``I_N = 2 N sum_m m P_m(1/(2N))`` for each N in ``ns``, in one pass.
 
-    ``ns`` holds Python integers >= 1 (checked by the caller); each value is
-    the one `_difference_probs` gives at ``f = 1/(2N)``, bit for bit, at
-    any N and whatever the length of ``ns``.  It is not a row sum over that
-    kernel because it is faster: `find_critical_n` over such a row sum cut
-    the median ``critical-scan`` job by a third, over this one by over half.
-
-    At f = 1/(2N), f lies in (0, 1/2], so ``theta = f + m`` lies in
-    (0, d - 1/2] and the two branches of `_difference_probs` are no-ops:
-
-    * its reduction moves theta only within 1/4 of a nonzero multiple of d,
-      which theta never reaches (elsewhere it subtracts ``d * 0``);
-    * its limit mask can only catch m = 0, the term of weight 0 in
-      ``sum_m m P_m``, as every m >= 1 sits at least 1/2 from a multiple
-      of d.
-
-    So the same ufuncs run in the same order over a ``(len(ns), d)`` array,
-    with the m = 0 denominator set to 1 (so that N = 1e200, where
-    ``sin^2(pi f/d)`` underflows, gives no 0/0).  The m = 0 column stays in
-    each row's sum: dropping it would shift numpy's pairwise summation and
-    the last bits with it.  2N is rounded from the Python int, not cast to
-    int64, so N past 2**63 works and 2N past the float range raises
-    `OverflowError`, as ``1.0 / (2 * n)`` does.
+    ``ns`` holds Python integers >= 1 (checked by the caller).  The gap
+    ``1/(2N)`` lies in (0, 1/2], already reduced, so each row is
+    `_difference_probs` at it; its m = 0 column is 0, the weight it has in
+    the sum, and stays in it: dropping it would shift numpy's pairwise
+    summation and the last bits with it.  2N is rounded from the Python int, not cast to int64, so N
+    past 2**63 works and 2N past the float range raises `OverflowError`, as
+    ``1.0 / (2 * n)`` does.
     """
     two_n = np.array([float(2 * n) for n in ns])
-    pi_theta = np.pi * ((1.0 / two_n)[:, None] + np.arange(d))
-    den = np.sin(pi_theta / d) ** 2
-    den[:, 0] = 1.0
-    num = np.sin(pi_theta) ** 2
-    pm = num / (d * d * den)
-    return two_n * (np.arange(d) * pm).sum(axis=1)
+    return two_n * (np.arange(d) * _difference_probs(d, 1.0 / two_n)).sum(axis=1)
 
 
 def cglmp_chained_value(d: int, n: int) -> float:

@@ -66,6 +66,15 @@ def test_basis_counts():
             bloch_to_density(np.zeros(length))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bloch_to_density_refuses_a_non_finite_vector(bad):
+    # a NaN u once gave a NaN density matrix
+    with pytest.raises(ValueError, match="u has a non-finite entry"):
+        bloch_to_density(np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="u has a non-finite entry"):
+        bloch_to_density([[0.0] * 8, [0.0] * 7 + [bad]])
+
+
 @pytest.mark.parametrize("d", range(2, 10))
 def test_maps_match_dense_oracle(d):
     mats = _gell_mann_stack(d)

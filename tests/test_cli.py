@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from itertools import product
@@ -90,6 +91,15 @@ def test_theorem1_default_bytes(capsys):
         0,
         "theorem1 suite: d=3 n=3 trials=1000 min_slack=1.470948704449 -> PASS\n",
     )
+
+
+def test_sweep_fig3_default_bytes(capsys):
+    # the bytes the benchmark's pinned digest of `sweep --fig 3` reads: a
+    # change to the closed-form kernel that moves a printed I_N fails here
+    code, out, _ = run_cli(capsys, "sweep", "--fig", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "561326dcb4ab0ab311e50c9287d87acf4a57c48b8f7dde4e37a568bd2094c1a4"
 
 
 def test_ncrit(capsys):

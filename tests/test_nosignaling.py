@@ -125,6 +125,17 @@ def test_check_no_signaling_detects_built_in_gap():
     assert report.alice_residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("tol,needle", [(float("nan"), "nan"), (-1.0, "-1.0")])
+def test_checks_refuse_a_nan_or_negative_tol(tol, needle):
+    # on this box, which does not signal, both once reported passed=False
+    dist = JointDistribution(np.full((2, 2, 2, 2), 0.25))
+    message = f"tol must be a non-negative number, got {needle}"
+    with pytest.raises(ValueError, match=message):
+        check_no_signaling(dist, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        check_agreement_bound(dist, 1, 2, tol=tol)
+
+
 @pytest.mark.parametrize("mix", [0.0, 0.37, 1.0])
 def test_random_no_signaling_invariants(mix):
     for trial in range(50):

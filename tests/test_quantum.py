@@ -285,12 +285,17 @@ def test_joint_distribution_validate_names_overflowing_sums_unnormalized():
 
 
 def _closed_form_oracle(settings):
-    """Entrywise closed form: the kernel on all N^2 gaps, then an N^2 d^2 gather."""
+    """Entrywise closed form: each of the N^2 gaps split into its nearest
+    integer t and the rest r, the kernel at r, then an N^2 d^2 gather."""
     d = settings.d
     f = settings.alpha[:, None] - settings.beta[None, :]
-    pm = _difference_probs(d, f)  # (A, B, m)
-    m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
-    return pm[:, :, m] / d
+    t = np.round(f)
+    pm = _difference_probs(d, f - t)  # (A, B, class at r)
+    pm[..., 0] = 1.0 - pm[..., 1:].sum(axis=-1)
+    m = np.arange(d)[None, :] - np.arange(d)[:, None]
+    a, b = np.indices(f.shape)
+    cols = (m + t.astype(int)[:, :, None, None]) % d
+    return pm[a[:, :, None, None], b[:, :, None, None], cols] / d
 
 
 def _born_oracle(state, alice, bob):
@@ -321,6 +326,40 @@ def test_closed_form_probs_on_repeated_and_integer_gaps(d):
         assert np.array_equal(probs, _closed_form_oracle(s))
         born = joint_distribution(maximally_entangled(d), s).probs
         assert np.abs(probs - born).max() < 1e-10
+
+
+def _edge_gap_settings(d):
+    """Random phases, then gaps of 0, +-1/2, 1.5 and 1e-13 and a phase of
+    d - 1e-13 against Bob's phase 0."""
+    rng = substream(71, d)
+    edges = [0.0, 0.5, -0.5, 1.5, 1e-13, d - 1e-13]
+    alpha = np.concatenate([rng.uniform(0, d, 3), edges])
+    beta = np.concatenate([rng.uniform(0, d, 3), np.zeros(len(edges))])
+    return ChainedSettings(d, alpha, beta)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 16, 50, 100])
+def test_closed_form_probs_matches_an_mpmath_reference(d):
+    from reference import difference_probs, mpmath
+
+    s = _edge_gap_settings(d)
+    probs = closed_form_probs(s).probs
+    m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    refs = {}  # by gap: Bob's six phases 0 repeat each of Alice's gaps
+    with mpmath.workdps(40):
+        for a, b in np.ndindex(s.n, s.n):
+            gap = s.alpha[a] - s.beta[b]
+            if gap not in refs:
+                refs[gap] = np.array([float(p / d) for p in difference_probs(d, gap)])
+            err = np.abs(probs[a, b] - refs[gap][m]).max()
+            assert err <= 1e-15, f"pair ({a + 1}, {b + 1}): error {err:.3g}"
+
+
+def test_closed_form_blocks_sum_to_one():
+    # the closed form once summed to 1 only to 5.6e-14 at d = 91
+    for d in range(2, 101):
+        sums = closed_form_probs(_edge_gap_settings(d)).probs.sum(axis=(2, 3))
+        assert np.abs(sums - 1.0).max() <= 1e-15, f"d={d}"
 
 
 @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3), (6, 2), (8, 3)])
