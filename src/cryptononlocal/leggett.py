@@ -30,6 +30,7 @@ projection of a fixed u onto each family's span.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -67,8 +68,6 @@ __all__ = [
     "FamilyProjection",
     "escape_report",
 ]
-
-U_MODES = ("sphere-uniform", "haar-pure")
 
 _MC_CHUNK = 1 << 16
 # Multiply-adds per block product.  OpenBLAS runs a gemm of at most 2**18 of
@@ -114,9 +113,10 @@ class MeasurementBasisBloch:
 
 
 def _purity(eta) -> float:
-    """``eta`` itself, if it lies in (0, 1]; a bool raises `TypeError`."""
-    # a float, the common case, skips the isinstance call
-    if type(eta) is not float and isinstance(eta, (bool, np.bool_)):
+    """``eta`` itself, if it lies in (0, 1]; anything but a real number, a
+    bool included, raises `TypeError`."""
+    # a float, the common case, skips the isinstance calls
+    if type(eta) is not float and (isinstance(eta, bool) or not isinstance(eta, numbers.Real)):
         raise TypeError(f"eta={eta!r} is not a number")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -160,7 +160,7 @@ class LocalModel:
         object.__setattr__(self, "d", _integer("d", self.d, 2))
         _purity(self.eta)
         if self.u_mode not in U_MODES:
-            raise ValueError(f"unknown u_mode {self.u_mode!r}")
+            raise ValueError(f"unknown u_mode {self.u_mode!r}; known: {', '.join(U_MODES)}")
 
 
 @dataclass(frozen=True)
@@ -217,129 +217,22 @@ def _mc_workers(n_chunks: int) -> int:
     return max(1, min(cpus, n_chunks))
 
 
-def leggett_bound_mc(
-    basis: MeasurementBasisBloch,
-    model: LocalModel,
-    n_samples: int,
-    seed: int,
-) -> BoundEstimate:
-    """Monte Carlo estimate of the model bound L for one measurement basis.
+def _mc_estimate(chunk_values, n_samples: int, seed: int) -> tuple[float, float]:
+    """Mean and standard error of ``n_samples`` values, 65536 to a chunk.
 
-    ``n_samples`` (at least 1) and ``seed`` are integers: a float such as
-    70000.5, a bool or a Generator raises `TypeError`, as for every integer
-    argument of the package.  Samples come in chunks of 65536: chunk i
-    reads the counter-based stream (seed, i), so the estimate depends only
-    on the seed and the sample count.  The chunks run on a thread pool with
-    one worker per CPU in the affinity mask, at most one per chunk (a single
-    chunk runs in the calling thread).  The random draws release the
-    interpreter lock, so the workers run in parallel.  Each chunk returns
-    its sum and its sum of squared deviations from its own mean; these are
-    kept in chunk order and combined with `math.fsum`, so neither the
-    thread count nor the reduction order can move the estimate, and the
-    standard error does not rest on a difference of two large sums of
-    squares.
-
-    Both modes work a chunk in blocks of ``max(64, 2**18 // c)`` rows,
-    where c is the multiply-add count of one row in one block product:
-    (d^2 - 1) d for sphere-uniform and 2 d^2 for Haar-pure.  Where the
-    row count is above the floor, every product has at most 2**18
-    multiply-adds, which OpenBLAS runs in the calling thread; the 64-row
-    floor binds from d = 17 up for sphere-uniform and from d = 46 up for
-    Haar-pure, so that one pass over the block's right-hand operand serves
-    64 samples rather than a handful.
-
-    A sphere-uniform block is one `_normal_rows` call (the draws of
-    `sample_sphere`), left unnormalized: a row x's value is homogeneous of
-    degree 1 in u = x/|x| (Muller), so it is divided once by |x|.  Where the
-    floor binds, a block's projection onto the d difference vectors is
-    summed left to right over slices of ``2**18 // (64 d)`` coordinates,
-    one product each, so every product runs in the calling thread and the
-    last bits do not depend on the BLAS thread count.  A block holds
-    ``max(2 MiB / d, 512 (d^2 - 1) bytes)`` of draws (5 MB at d = 100), and
-    a worker holds one block and its chunk's 512 KiB of per-sample values
-    at a time.  Drawing a stream in blocks reads the same numbers as drawing
-    it at once, except that a redraw of a row whose norm falls below 1e-12
-    (probability below 1e-30 per row) happens after its block, not its chunk.
-
-    Haar-pure states are never built as complex arrays, never normalized
-    and never mapped to Bloch vectors.  A sample is a raw complex Gaussian
-    row z, held as its real and imaginary parts.  By the projection rule
-    ``Tr(rho(a) rho(u)) = [1 + (d-1) a.u] / d`` each step is
-
-        (a^x - a^{x-1}) . u = d/(d-1) (p_x - p_{x-1}) ,
-        p_x = |<a_x|z>|^2 / |z|^2 ,
-
-    so a sample's value is ``eta/d sum_x |p_x - p_{x-1}|``, taken over the
-    unnormalized squared moduli and divided once by ``|z|^2``.  The outcome
-    states a_x are the rows of ``basis.states``.  A block costs two real
-    (2d, d) x (d, rows) products, one with the real and one with the
-    imaginary parts of its rows as columns, whose sum holds Re and Im of
-    every ``<a_x|z>``, one column per sample: d times fewer multiply-adds
-    than applying d step operators to complex states.  Where the floor binds,
-    OpenBLAS may split such a product over its threads; its inner dimension
-    is only d, so each entry is still one unbroken sum, and the estimate at
-    d = 51 reads the same bits under one and two BLAS threads (tested).
-    Haar chunks are drawn whole, as `sample_haar_pure` draws them: all real
-    parts of a chunk before all imaginary parts, so drawing in blocks would
-    change the stream.  A chunk peaks at about 16 d + 24 bytes per sample
-    (its two parts, their squared norms and the values), plus a block's
-    arrays of at most 6 MiB / d (tracemalloc: 7.7 MiB at d = 6, 21 MiB at
-    d = 20 and 102 MiB at d = 100, against 13.0, 41 and 239 MiB while the
-    states were built complex and normalized).
+    Chunk i of m samples takes the values ``chunk_values(substream(seed, i),
+    m)``, so the estimate depends only on the seed and the sample count.
+    The chunks run on a thread pool with one worker per CPU in the affinity
+    mask, at most one per chunk (a single chunk runs in the calling thread);
+    the random draws release the interpreter lock.  Each chunk's sum and sum
+    of squared deviations from its own mean are combined in chunk order by
+    `math.fsum`, so neither the thread count nor the reduction order can
+    move the estimate.
     """
-    if model.d != basis.d:
-        raise ValueError("model and basis dimensions differ")
-    d = basis.d
-    n_samples = _integer("n_samples", n_samples, 1)
-    seed = _integer("seed", seed)
-    haar = model.u_mode == "haar-pure"
-    if haar:
-        coef = model.eta / d
-        a = basis.states
-        # row x of w_re @ re.T + w_im @ im.T is Re <a_x|z>, row d + x Im <a_x|z>
-        w_re = np.concatenate([a.real, -a.imag])
-        w_im = np.concatenate([a.imag, a.real])
-        rows = _mc_block_rows(2 * d * d)
-    else:
-        coef = model.eta * (d - 1) / d**2
-        n_dim = d * d - 1
-        diffs = _difference_matrix(basis)
-        rows = _mc_block_rows(n_dim * d)
-        # coordinates per product, so that each stays within _MC_BLOCK
-        # multiply-adds: all of them unless the floor binds
-        span = max(1, _MC_BLOCK // (rows * d))
-
-    def block_values(gen, draws, lo: int, k: int) -> np.ndarray:
-        # a function, so that a block's arrays are freed before the next draw
-        if haar:
-            re, im, sq = draws
-            # one column per sample, so every elementwise pass runs along
-            # rows of length k
-            amp = w_re @ re[lo : lo + k].T
-            amp += w_im @ im[lo : lo + k].T
-            amp *= amp
-            q = amp[:d] + amp[d:]  # |<a_x|z>|^2
-            q -= np.roll(q, 1, axis=0)
-            np.abs(q, out=q)
-            return coef * q.sum(axis=0) / sq[lo : lo + k]
-        (x,) = _normal_rows(gen, k, n_dim)
-        proj = x[:, :span] @ diffs[:, :span].T
-        for c in range(span, n_dim, span):
-            proj += x[:, c : c + span] @ diffs[:, c : c + span].T
-        return coef * np.abs(proj).sum(axis=1) / np.sqrt(np.einsum("ij,ij->i", x, x))
 
     def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
-        gen = substream(seed, i)
-        if haar:
-            re, im = _normal_rows(gen, m, d, parts=2)
-            draws = re, im, np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-        else:
-            draws = None
-        vals = np.empty(m)
-        for lo in range(0, m, rows):
-            k = min(rows, m - lo)
-            vals[lo : lo + k] = block_values(gen, draws, lo, k)
+        vals = chunk_values(substream(seed, i), m)
         total = float(vals.sum())
         vals -= total / m  # deviations from the chunk mean
         # einsum's own loop, not BLAS: np.dot splits long vectors over
@@ -357,13 +250,122 @@ def leggett_bound_mc(
         sums = [chunk_sums(i) for i in range(n_chunks)]
 
     mean = math.fsum(s for _, s, _ in sums) / n_samples
-    if n_samples > 1:
-        # squared deviations within chunks plus those of the chunk means
-        # (Chan, Golub & LeVeque), so no two large sums of squares cancel
-        dev_sq = math.fsum(q + m * (s / m - mean) ** 2 for m, s, q in sums)
-        stderr = math.sqrt(dev_sq / (n_samples - 1) / n_samples)
-    else:
-        stderr = 0.0
+    # squared deviations within chunks plus those of the chunk means
+    # (Chan, Golub & LeVeque), so no two large sums of squares cancel
+    dev_sq = math.fsum(q + m * (s / m - mean) ** 2 for m, s, q in sums)
+    return mean, math.sqrt(dev_sq / (n_samples - 1) / n_samples) if n_samples > 1 else 0.0
+
+
+def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
+    """``chunk_values(gen, m)`` of sphere-uniform hidden states, for `_mc_estimate`.
+
+    A chunk is drawn in blocks of ``_mc_block_rows((d^2 - 1) d)`` rows, each
+    one `_normal_rows` call (the draws of `sample_sphere`) left unnormalized:
+    a row x's value is homogeneous of degree 1 in u = x/|x| (Muller), so it
+    is divided once by |x|.  From d = 17 up, where the 64-row floor binds, a
+    block's projection is summed left to right over slices of
+    ``2**18 // (64 d)`` coordinates, so no product is split over BLAS threads.
+    A worker holds one block, ``max(2 MiB / d, 512 (d^2 - 1) bytes)`` (5 MB at
+    d = 100), and its chunk's 512 KiB of values (tracemalloc: 0.71 MiB at
+    d = 12).  Drawing in blocks reads the stream as one draw per chunk would,
+    except that the redraw of a row of norm below 1e-12 (probability below
+    1e-30 per row) follows its block, not its chunk.
+    """
+    d = basis.d
+    coef = eta * (d - 1) / d**2
+    n_dim = d * d - 1
+    diffs = _difference_matrix(basis)
+    rows = _mc_block_rows(n_dim * d)
+    # coordinates per product, within _MC_BLOCK multiply-adds: all unless the floor binds
+    span = max(1, _MC_BLOCK // (rows * d))
+
+    def chunk_values(gen, m: int) -> np.ndarray:
+        vals = np.empty(m)
+        for lo in range(0, m, rows):
+            k = min(rows, m - lo)
+            (x,) = _normal_rows(gen, k, n_dim)
+            proj = x[:, :span] @ diffs[:, :span].T
+            for c in range(span, n_dim, span):
+                proj += x[:, c : c + span] @ diffs[:, c : c + span].T
+            vals[lo : lo + k] = coef * np.abs(proj).sum(axis=1)
+            vals[lo : lo + k] /= np.sqrt(np.einsum("ij,ij->i", x, x))
+            del x, proj  # before the next block is drawn
+        return vals
+
+    return chunk_values
+
+
+def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
+    """``chunk_values(gen, m)`` of Haar-pure hidden states, for `_mc_estimate`.
+
+    A sample is a raw complex Gaussian row z, held as its real and imaginary
+    parts, never normalized or mapped to a Bloch vector.  By the projection
+    rule ``Tr(rho(a) rho(u)) = [1 + (d-1) a.u] / d`` each step
+    ``(a^x - a^{x-1}) . u`` is ``d/(d-1) (p_x - p_{x-1})`` with
+    ``p_x = |<a_x|z>|^2 / |z|^2`` (a_x the rows of ``basis.states``): a
+    sample's value ``eta/d sum_x |p_x - p_{x-1}|`` is taken over unnormalized
+    squared moduli and divided once by ``|z|^2``.  A block of
+    ``_mc_block_rows(2 d^2)`` rows costs two real (2d, d) x (d, rows)
+    products, whose sum holds Re and Im of every ``<a_x|z>``.  From d = 46
+    up, where the 64-row floor binds, OpenBLAS may split a product over its
+    threads, but each entry is still one unbroken sum of d terms (tested at
+    d = 51).  A chunk is drawn whole, as `sample_haar_pure` draws it, all real
+    parts before all imaginary parts, so drawing in blocks would change the
+    stream.  It peaks at 16 d + 24 bytes per sample (parts, squared norms and
+    values) plus a block's arrays of at most 6 MiB / d (tracemalloc: 8.4 MiB
+    at d = 6, 21.2 at d = 20, 101.6 at d = 100).
+    """
+    d = basis.d
+    coef = eta / d
+    a = basis.states
+    # row x of w_re @ re.T + w_im @ im.T is Re <a_x|z>, row d + x Im <a_x|z>
+    w_re = np.concatenate([a.real, -a.imag])
+    w_im = np.concatenate([a.imag, a.real])
+    rows = _mc_block_rows(2 * d * d)
+
+    def chunk_values(gen, m: int) -> np.ndarray:
+        re, im = _normal_rows(gen, m, d, parts=2)
+        sq = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+        vals = np.empty(m)
+        for lo in range(0, m, rows):
+            k = min(rows, m - lo)
+            # one column per sample, so every elementwise pass runs along rows of length k
+            amp = w_re @ re[lo : lo + k].T
+            amp += w_im @ im[lo : lo + k].T
+            amp *= amp
+            q = amp[:d] + amp[d:]  # |<a_x|z>|^2
+            q -= np.roll(q, 1, axis=0)
+            np.abs(q, out=q)
+            vals[lo : lo + k] = coef * q.sum(axis=0) / sq[lo : lo + k]
+            del amp, q  # before the next block's products
+        return vals
+
+    return chunk_values
+
+
+# the Monte Carlo kernel of each hidden-state law, by `LocalModel.u_mode`
+_MC_KERNELS = {"sphere-uniform": _sphere_chunk_values, "haar-pure": _haar_chunk_values}
+U_MODES = tuple(_MC_KERNELS)
+
+
+def leggett_bound_mc(
+    basis: MeasurementBasisBloch, model: LocalModel, n_samples: int, seed: int
+) -> BoundEstimate:
+    """Monte Carlo estimate of the model bound L for one measurement basis.
+
+    ``n_samples`` (at least 1) and ``seed`` are integers: a float such as
+    70000.5, a bool or a Generator raises `TypeError`, as for every integer
+    argument of the package.  The kernel of the hidden-state law
+    ``model.u_mode`` gives the values of seeded chunks of 65536 samples, run
+    by `_mc_estimate`: the estimate depends only on the seed and the sample
+    count, not on the thread or BLAS thread count.
+    """
+    if model.d != basis.d:
+        raise ValueError("model and basis dimensions differ")
+    n_samples = _integer("n_samples", n_samples, 1)
+    seed = _integer("seed", seed)
+    chunk_values = _MC_KERNELS[model.u_mode](basis, model.eta)
+    mean, stderr = _mc_estimate(chunk_values, n_samples, seed)
     return BoundEstimate(value=mean, std_error=stderr, samples=n_samples)
 
 

@@ -61,8 +61,8 @@ class ChainedSettings:
     """Measurement phases ``alpha[A-1]``, ``beta[B-1]`` of N = ``n`` settings.
 
     Construction refuses phases that are not real, finite, 1-D, non-empty and
-    of one length, and stores them mod d, their period, where the Born-rule
-    tensor keeps its accuracy, as read-only arrays."""
+    of one length, and stores them mod d, their period, in [0, d), where the
+    Born-rule tensor keeps its accuracy, as read-only arrays."""
 
     d: int
     alpha: np.ndarray
@@ -77,6 +77,8 @@ class ChainedSettings:
             if not np.isfinite(phases).all():
                 raise ValueError(f"{name} has a non-finite phase")
             phases = np.mod(phases, self.d)
+            # a tiny negative phase, such as -1e-20, rounds up to d itself
+            phases[phases == self.d] = 0.0
             phases.flags.writeable = False
             object.__setattr__(self, name, phases)
         if self.alpha.shape != self.beta.shape:

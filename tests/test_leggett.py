@@ -330,14 +330,15 @@ def test_mc_bound_same_for_any_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-def test_mc_bound_single_chunk_uses_no_pool(monkeypatch):
+@pytest.mark.parametrize("u_mode", leggett.U_MODES)
+def test_mc_bound_single_chunk_uses_no_pool(monkeypatch, u_mode):
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("thread pool created")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    basis, model = _cglmp_basis(3), LocalModel(d=3)
+    basis, model = _cglmp_basis(3), LocalModel(d=3, u_mode=u_mode)
     leggett_bound_mc(basis, model, _MC_CHUNK, 41)
 
 
@@ -361,6 +362,21 @@ def test_mc_bound_memory_does_not_grow_with_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_mc_bound_haar_memory_stays_within_its_stated_bound():
+    # a Haar-pure chunk is drawn whole: 16 d + 24 bytes per sample plus one
+    # block's arrays of at most 6 MiB / d, as `_haar_chunk_values` states
+    d = 20
+    basis, model = _cglmp_basis(d), LocalModel(d=d, u_mode="haar-pure")
+    leggett_bound_mc(basis, model, 10, 43)  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        leggett_bound_mc(basis, model, _MC_CHUNK, 43)  # one chunk, one worker
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (16 * d + 24) * _MC_CHUNK + 6 * 2**20 / d
 
 
 @pytest.mark.parametrize("n_samples", [70000.5, 100.0])
@@ -806,7 +822,7 @@ def test_mub_family_spans_equal_the_per_basis_path_bit_for_bit(d):
         assert np.array_equal(fam.span, vt[sv > 1e-9])
 
 
-@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("flag", [True, False, np.True_, "0.5", None, 1j, [0.5]])
 def test_a_bool_purity_is_refused(flag):
     basis = _cglmp_basis(3)
     with pytest.raises(TypeError, match="is not a number"):

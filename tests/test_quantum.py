@@ -513,6 +513,16 @@ def test_chained_settings_reads_n_and_reduces_phases_mod_d():
         ChainedSettings(1, [0.5], [0.5])
 
 
+@pytest.mark.parametrize("d", [3, 100])
+def test_chained_settings_stores_every_phase_in_zero_to_d(d):
+    # np.mod rounds a tiny negative phase up to d itself
+    phases = [-1e-20, -1e-17, -5e-324, -0.0, 0.0, -float(d), d - 1e-13, 2.0 * d, -2.0 * d - 1e-15]
+    s = ChainedSettings(d, phases, phases[::-1])
+    for stored in (s.alpha, s.beta[::-1]):
+        assert ((stored >= 0.0) & (stored < d)).all(), stored
+        assert stored[0] == stored[1] == 0.0
+
+
 def _signaling_box(d, n, eps):
     """Uniform box whose Alice marginal at A=1 moves by eps with Bob's setting."""
     probs = np.full((n, n, d, d), 1.0 / (d * d))
