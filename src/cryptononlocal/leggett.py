@@ -123,18 +123,30 @@ def _purity(eta) -> float:
     return eta
 
 
-def _hidden_vector(u, d: int | None, unit: bool = False) -> np.ndarray:
-    """``u`` as a flat float array by the one array check, refused unless it
-    has unit norm (when ``unit``; a NaN norm fails too) and d**2 - 1 finite
-    coordinates (any number of them when ``d`` is None)."""
-    u = _as_array(u, "u").reshape(-1)
+def _hidden_vector(u, d: int, unit: bool = False) -> np.ndarray:
+    """``u`` as a float array by the one array check, refused unless it is
+    one-dimensional with d**2 - 1 finite coordinates and, when ``unit``,
+    has unit norm (a NaN norm fails too)."""
+    u = _as_array(u, "u")
+    if u.ndim != 1:
+        raise ValueError(f"u must be one-dimensional, got shape {u.shape}")
     if unit and not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
         raise ValueError("u must be unit norm")
-    if d is not None and u.size != d * d - 1:
+    if u.size != d * d - 1:
         raise ValueError(f"u has {u.size} coordinates, expected d**2 - 1 = {d * d - 1}")
     if not np.isfinite(u).all():
         raise ValueError("u has a non-finite entry")
     return u
+
+
+def _measurement(basis) -> MeasurementBasisBloch:
+    """``basis`` itself; anything but a `MeasurementBasisBloch` raises `TypeError`."""
+    if not isinstance(basis, MeasurementBasisBloch):
+        raise TypeError(
+            f"basis is a {type(basis).__name__}, not a MeasurementBasisBloch: "
+            "map the basis array with basis_to_bloch first"
+        )
+    return basis
 
 
 def basis_to_bloch(basis: np.ndarray) -> MeasurementBasisBloch:
@@ -180,15 +192,17 @@ def marginal_distribution(
     The flag is False when any outcome would receive a negative value at
     this ``u`` (possible for non-physical sphere points); values are
     reported unclamped either way.  ``u`` goes through the one array check
-    (strings, booleans and complex entries are refused); one without
-    d**2 - 1 coordinates, or with a non-finite one, raises `ValueError`.
+    (strings, booleans and complex entries are refused); one that is not
+    one-dimensional, without d**2 - 1 coordinates or with a non-finite one
+    raises `ValueError`.  A ``basis`` that is not a `MeasurementBasisBloch`,
+    such as a raw basis array, raises `TypeError`.
 
     Consecutive marginals differ by ``p_x - p_{x-1} = eta (d-1)/d
     (a^x - a^{x-1}) . u``, so at a physical ``u`` the model bound L of that
     one direction is the shift distance
     ``statistical_distance(p, np.roll(p, 1))`` of ``p``.
     """
-    d, eta = basis.d, _purity(eta)
+    d, eta = _measurement(basis).d, _purity(eta)
     u = _hidden_vector(u, d)
     values = (1.0 + eta * (d - 1) * (basis.vectors @ u)) / d
     return values, bool(values.min() >= -1e-12)
@@ -217,22 +231,28 @@ def _mc_workers(n_chunks: int) -> int:
     return max(1, min(cpus, n_chunks))
 
 
-def _mc_estimate(chunk_values, n_samples: int, seed: int) -> tuple[float, float]:
+def _mc_estimate(kernel, n_samples: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of ``n_samples`` values, 65536 to a chunk.
 
-    Chunk i of m samples takes the values ``chunk_values(substream(seed, i),
-    m)``, so the estimate depends only on the seed and the sample count.
-    The chunks run on a thread pool with one worker per CPU in the affinity
-    mask, at most one per chunk (a single chunk runs in the calling thread);
-    the random draws release the interpreter lock.  Each chunk's sum and sum
-    of squared deviations from its own mean are combined in chunk order by
-    `math.fsum`, so neither the thread count nor the reduction order can
-    move the estimate.
+    ``kernel`` is a law's ``(rows, block_values)``.  Chunk i reads the
+    stream ``gen = substream(seed, i)`` in blocks of ``rows`` samples (the
+    last one shorter), each block of k samples taking the values
+    ``block_values(gen, k)``, so the estimate depends only on the seed and
+    the sample count.  The chunks run on a thread pool with one worker per CPU in the
+    affinity mask, at most one per chunk (a single chunk runs in the calling
+    thread); the random draws release the interpreter lock.  Each chunk's
+    sum and sum of squared deviations from its own mean are combined in
+    chunk order by `math.fsum`, so neither the thread count nor the
+    reduction order can move the estimate.
     """
+    rows, block_values = kernel
 
     def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
-        vals = chunk_values(substream(seed, i), m)
+        gen = substream(seed, i)
+        vals = np.empty(m)
+        for lo in range(0, m, rows):
+            vals[lo : lo + rows] = block_values(gen, min(rows, m - lo))
         total = float(vals.sum())
         vals -= total / m  # deviations from the chunk mean
         # einsum's own loop, not BLAS: np.dot splits long vectors over
@@ -257,10 +277,10 @@ def _mc_estimate(chunk_values, n_samples: int, seed: int) -> tuple[float, float]
 
 
 def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
-    """``chunk_values(gen, m)`` of sphere-uniform hidden states, for `_mc_estimate`.
+    """``(rows, block_values)`` of sphere-uniform hidden states, for `_mc_estimate`.
 
-    A chunk is drawn in blocks of ``_mc_block_rows((d^2 - 1) d)`` rows, each
-    one `_normal_rows` call (the draws of `sample_sphere`) left unnormalized:
+    A block of ``rows = _mc_block_rows((d^2 - 1) d)`` samples is one
+    `_normal_rows` call (the draws of `sample_sphere`) left unnormalized:
     a row x's value is homogeneous of degree 1 in u = x/|x| (Muller), so it
     is divided once by |x|.  From d = 17 up, where the 64-row floor binds, a
     block's projection is summed left to right over slices of
@@ -279,24 +299,18 @@ def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
     # coordinates per product, within _MC_BLOCK multiply-adds: all unless the floor binds
     span = max(1, _MC_BLOCK // (rows * d))
 
-    def chunk_values(gen, m: int) -> np.ndarray:
-        vals = np.empty(m)
-        for lo in range(0, m, rows):
-            k = min(rows, m - lo)
-            (x,) = _normal_rows(gen, k, n_dim)
-            proj = x[:, :span] @ diffs[:, :span].T
-            for c in range(span, n_dim, span):
-                proj += x[:, c : c + span] @ diffs[:, c : c + span].T
-            vals[lo : lo + k] = coef * np.abs(proj).sum(axis=1)
-            vals[lo : lo + k] /= np.sqrt(np.einsum("ij,ij->i", x, x))
-            del x, proj  # before the next block is drawn
-        return vals
+    def block_values(gen, k: int) -> np.ndarray:
+        (x,) = _normal_rows(gen, k, n_dim)
+        proj = x[:, :span] @ diffs[:, :span].T
+        for c in range(span, n_dim, span):
+            proj += x[:, c : c + span] @ diffs[:, c : c + span].T
+        return coef * np.abs(proj).sum(axis=1) / np.sqrt(np.einsum("ij,ij->i", x, x))
 
-    return chunk_values
+    return rows, block_values
 
 
 def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
-    """``chunk_values(gen, m)`` of Haar-pure hidden states, for `_mc_estimate`.
+    """``(rows, block_values)`` of Haar-pure hidden states, for `_mc_estimate`.
 
     A sample is a raw complex Gaussian row z, held as its real and imaginary
     parts, never normalized or mapped to a Bloch vector.  By the projection
@@ -305,15 +319,15 @@ def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
     ``p_x = |<a_x|z>|^2 / |z|^2`` (a_x the rows of ``basis.states``): a
     sample's value ``eta/d sum_x |p_x - p_{x-1}|`` is taken over unnormalized
     squared moduli and divided once by ``|z|^2``.  A block of
-    ``_mc_block_rows(2 d^2)`` rows costs two real (2d, d) x (d, rows)
-    products, whose sum holds Re and Im of every ``<a_x|z>``.  From d = 46
-    up, where the 64-row floor binds, OpenBLAS may split a product over its
-    threads, but each entry is still one unbroken sum of d terms (tested at
-    d = 51).  A chunk is drawn whole, as `sample_haar_pure` draws it, all real
-    parts before all imaginary parts, so drawing in blocks would change the
-    stream.  It peaks at 16 d + 24 bytes per sample (parts, squared norms and
-    values) plus a block's arrays of at most 6 MiB / d (tracemalloc: 8.4 MiB
-    at d = 6, 21.2 at d = 20, 101.6 at d = 100).
+    ``rows = _mc_block_rows(2 d^2)`` samples is one `_normal_rows` call of
+    two parts, so its draws are those of `sample_haar_pure` with
+    ``size=rows``, and costs two real (2d, d) x (d, rows) products, whose
+    sum holds Re and Im of every ``<a_x|z>``.  From d = 46 up, where the
+    64-row floor binds, OpenBLAS may split a product over its threads, but
+    each entry is still one unbroken sum of d terms (tested at d = 51).  A
+    worker holds its chunk's 512 KiB of values and one block's arrays, about
+    six of ``rows`` x d floats: at most 8 MiB / d above the floor (tracemalloc
+    of one chunk: 1.54 MiB at d = 6, 0.83 at d = 20, 1.14 at d = 100).
     """
     d = basis.d
     coef = eta / d
@@ -321,26 +335,20 @@ def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
     # row x of w_re @ re.T + w_im @ im.T is Re <a_x|z>, row d + x Im <a_x|z>
     w_re = np.concatenate([a.real, -a.imag])
     w_im = np.concatenate([a.imag, a.real])
-    rows = _mc_block_rows(2 * d * d)
 
-    def chunk_values(gen, m: int) -> np.ndarray:
-        re, im = _normal_rows(gen, m, d, parts=2)
+    def block_values(gen, k: int) -> np.ndarray:
+        re, im = _normal_rows(gen, k, d, parts=2)
         sq = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-        vals = np.empty(m)
-        for lo in range(0, m, rows):
-            k = min(rows, m - lo)
-            # one column per sample, so every elementwise pass runs along rows of length k
-            amp = w_re @ re[lo : lo + k].T
-            amp += w_im @ im[lo : lo + k].T
-            amp *= amp
-            q = amp[:d] + amp[d:]  # |<a_x|z>|^2
-            q -= np.roll(q, 1, axis=0)
-            np.abs(q, out=q)
-            vals[lo : lo + k] = coef * q.sum(axis=0) / sq[lo : lo + k]
-            del amp, q  # before the next block's products
-        return vals
+        # one column per sample, so every elementwise pass runs along rows of length k
+        amp = w_re @ re.T
+        amp += w_im @ im.T
+        amp *= amp
+        q = amp[:d] + amp[d:]  # |<a_x|z>|^2
+        q -= np.roll(q, 1, axis=0)
+        np.abs(q, out=q)
+        return coef * q.sum(axis=0) / sq
 
-    return chunk_values
+    return _mc_block_rows(2 * d * d), block_values
 
 
 # the Monte Carlo kernel of each hidden-state law, by `LocalModel.u_mode`
@@ -355,17 +363,19 @@ def leggett_bound_mc(
 
     ``n_samples`` (at least 1) and ``seed`` are integers: a float such as
     70000.5, a bool or a Generator raises `TypeError`, as for every integer
-    argument of the package.  The kernel of the hidden-state law
-    ``model.u_mode`` gives the values of seeded chunks of 65536 samples, run
-    by `_mc_estimate`: the estimate depends only on the seed and the sample
-    count, not on the thread or BLAS thread count.
+    argument of the package.  A ``basis`` that is not a
+    `MeasurementBasisBloch`, such as a raw basis array, raises `TypeError`.
+    The kernel of the hidden-state law ``model.u_mode`` gives the values of
+    each row block of seeded chunks of 65536 samples, run by `_mc_estimate`:
+    the estimate depends only on the seed and the sample count, not on the
+    thread or BLAS thread count.
     """
-    if model.d != basis.d:
+    if model.d != _measurement(basis).d:
         raise ValueError("model and basis dimensions differ")
     n_samples = _integer("n_samples", n_samples, 1)
     seed = _integer("seed", seed)
-    chunk_values = _MC_KERNELS[model.u_mode](basis, model.eta)
-    mean, stderr = _mc_estimate(chunk_values, n_samples, seed)
+    kernel = _MC_KERNELS[model.u_mode](basis, model.eta)
+    mean, stderr = _mc_estimate(kernel, n_samples, seed)
     return BoundEstimate(value=mean, std_error=stderr, samples=n_samples)
 
 
@@ -551,14 +561,17 @@ def escape_report(
     A family is flagged when the projection falls below 1e-9: for that
     family alone, ``u`` is an escape direction and L vanishes.  Each entry's
     ``index`` is the family's 1-based position in ``families``.  A ``u``
-    that is not a unit vector of d**2 - 1 coordinates raises `ValueError`.
+    that is not a unit vector of d**2 - 1 coordinates, or an empty
+    ``families``, raises `ValueError`.
 
     A family's span covers the difference vectors of all its N settings,
     while `demos/escape_directions.py` bounds L at setting 1 alone.  Both
     are sound, because the shift lemma ``Delta(P_X, P_{X+1}) <= I_N`` holds
     at every setting (`verify_shift_bound` checks each one).
     """
-    u = _hidden_vector(u, families[0].alice.shape[1] if families else None, unit=True)
+    if not families:
+        raise ValueError("families is empty")
+    u = _hidden_vector(u, families[0].alice.shape[1], unit=True)
     projections = [float(np.linalg.norm(fam.span @ u)) for fam in families]
     return [
         FamilyProjection(index=index, projection=proj, escape_possible=proj < _SPAN_TOL)

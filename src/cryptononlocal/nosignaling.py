@@ -54,7 +54,9 @@ _NORM_TOL = 1e-9
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = _as_array(p, name).reshape(-1)
+    p = _as_array(p, name)
+    if p.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {p.shape}")
     if p.size == 0:
         raise ValueError(f"{name} is empty")
     # Python's float sum, unlike ndarray.sum, never warns: any non-finite entry
@@ -73,7 +75,8 @@ def statistical_distance(p: np.ndarray, q: np.ndarray) -> float:
     """1/d-normalized L1 distance ``sum_x |P(x) - Q(x)| / d``.
 
     Symmetric, zero iff P = Q, bounded by 2/d, and satisfies the triangle
-    inequality.
+    inequality.  Each of P and Q must be a one-dimensional, finite,
+    non-negative array that sums to 1 (to 1e-9), else `ValueError` names it.
     """
     p = _check_distribution(p, "P")
     q = _check_distribution(q, "Q")

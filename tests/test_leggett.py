@@ -156,6 +156,17 @@ def test_marginals_normalized_and_physical_for_haar_u(d, eta):
         assert abs(values.sum() - 1.0) < 1e-10
 
 
+def test_a_basis_array_is_refused_with_a_pointer_to_basis_to_bloch():
+    # a raw basis array once failed on its missing `d` attribute
+    alice, _ = cglmp_bases(chained_settings(3, 1))
+    u = basis_to_bloch(alice[0]).vectors[0]
+    for basis in (alice[0], alice[0].tolist(), None):
+        with pytest.raises(TypeError, match="not a MeasurementBasisBloch: .* basis_to_bloch"):
+            leggett_bound_mc(basis, LocalModel(d=3), 10, 1)
+        with pytest.raises(TypeError, match="not a MeasurementBasisBloch: .* basis_to_bloch"):
+            marginal_distribution(basis, u)
+
+
 def test_marginal_flags_nonphysical_point():
     d = 3
     mb = _cglmp_basis(d)
@@ -191,20 +202,30 @@ def test_mc_bound_haar_mode_runs():
     assert est.value > 0
 
 
-def _haar_mc_oracle(basis, eta, n_samples, seed):
-    # the Bloch map of every state, drawing the same chunks as leggett_bound_mc
+def _mc_oracle(basis, eta, n_samples, seed, rows, draw):
+    # the Bloch vectors draw(gen, k) of every sample, read from the streams of
+    # leggett_bound_mc's chunks in draws of at most `rows` samples
     d = basis.d
     diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        states = sample_haar_pure(d, substream(seed, len(chunks)), size=m)
-        u = state_to_bloch(states)
-        chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
-        done += m
-    vals = np.concatenate(chunks)
-    return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
+    vals = []
+    for i, start in enumerate(range(0, n_samples, _MC_CHUNK)):
+        gen, m = substream(seed, i), min(_MC_CHUNK, n_samples - start)
+        for lo in range(0, m, rows):
+            u = draw(gen, min(rows, m - lo))
+            vals.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
+    vals = np.concatenate(vals)
+    stderr = vals.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
+    return vals.mean(), stderr
+
+
+def _haar_mc_oracle(basis, eta, n_samples, seed):
+    # the Bloch map of every state, drawn per row block as the kernel draws
+    d = basis.d
+
+    def draw(gen, k):
+        return state_to_bloch(sample_haar_pure(d, gen, size=k))
+
+    return _mc_oracle(basis, eta, n_samples, seed, leggett._mc_block_rows(2 * d * d), draw)
 
 
 @pytest.mark.parametrize(
@@ -238,18 +259,12 @@ def test_mc_bound_haar_matches_bloch_map_oracle(d, eta, n_samples, seed):
 
 def _sphere_mc_oracle(basis, eta, n_samples, seed):
     # each chunk drawn whole, in one sample_sphere call
-    d = basis.d
-    diffs = basis.vectors - np.roll(basis.vectors, 1, axis=0)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        u = sample_sphere(d * d - 1, substream(seed, len(chunks)), size=m)
-        chunks.append(eta * (d - 1) / d**2 * np.abs(u @ diffs.T).sum(axis=1))
-        done += m
-    vals = np.concatenate(chunks)
-    stderr = vals.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
-    return vals.mean(), stderr
+    n_dim = basis.d**2 - 1
+
+    def draw(gen, k):
+        return sample_sphere(n_dim, gen, size=k)
+
+    return _mc_oracle(basis, eta, n_samples, seed, _MC_CHUNK, draw)
 
 
 @pytest.mark.parametrize("seed", [23])
@@ -365,8 +380,8 @@ def test_mc_bound_memory_does_not_grow_with_the_chunk():
 
 
 def test_mc_bound_haar_memory_stays_within_its_stated_bound():
-    # a Haar-pure chunk is drawn whole: 16 d + 24 bytes per sample plus one
-    # block's arrays of at most 6 MiB / d, as `_haar_chunk_values` states
+    # a Haar-pure chunk is drawn per block: its 8-byte values plus one
+    # block's arrays of at most 8 MiB / d, as `_haar_chunk_values` states
     d = 20
     basis, model = _cglmp_basis(d), LocalModel(d=d, u_mode="haar-pure")
     leggett_bound_mc(basis, model, 10, 43)  # lazy imports, outside the trace
@@ -376,7 +391,7 @@ def test_mc_bound_haar_memory_stays_within_its_stated_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (16 * d + 24) * _MC_CHUNK + 6 * 2**20 / d
+    assert peak < 8 * _MC_CHUNK + 8 * 2**20 / d
 
 
 @pytest.mark.parametrize("n_samples", [70000.5, 100.0])
@@ -759,6 +774,12 @@ def test_escape_report_requires_unit_vector():
         escape_report(np.array([0.0, 0.0, 2.0]), fams)
 
 
+def test_escape_report_refuses_an_empty_family_list():
+    # with no family there was no d, and a u of any length passed
+    with pytest.raises(ValueError, match="families is empty"):
+        escape_report([1.0], [])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_escape_report_refuses_a_non_finite_vector(bad):
     # a NaN norm once passed the unit check and flagged no family
@@ -861,11 +882,16 @@ def test_marginal_distribution_refuses_a_non_finite_vector(bad):
         marginal_distribution(basis, np.array([bad, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("size", [2, 4, 8])
+@pytest.mark.parametrize("size", [2, 4, 8, (1, 3), (3, 1)])
 def test_hidden_vectors_of_the_wrong_length_are_refused(size):
-    # numpy's matmul once answered with its core-dimension message
-    needle = f"u has {size} coordinates, expected d**2 - 1 = 3"
-    u = np.eye(size)[0]
+    # numpy's matmul once answered with its core-dimension message, and a
+    # (1, 3) or (3, 1) u was once flattened to the three coordinates of d = 2
+    u = np.zeros(size)
+    u.flat[0] = 1.0
+    if u.ndim == 1:
+        needle = f"u has {size} coordinates, expected d**2 - 1 = 3"
+    else:
+        needle = f"u must be one-dimensional, got shape {size}"
     with pytest.raises(ValueError, match=re.escape(needle)):
         marginal_distribution(_cglmp_basis(2), u)
     with pytest.raises(ValueError, match=re.escape(needle)):

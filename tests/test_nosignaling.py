@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ def test_statistical_distance_rejects_bad_input():
         statistical_distance([0.5, 0.2], [0.5, 0.5])
     with pytest.raises(ValueError, match="outcome counts"):
         statistical_distance([0.5, 0.5], [1.0, 0.0, 0.0])
+    # a 2-D array was once flattened: P read as four outcomes of 1/4 each
+    with pytest.raises(ValueError, match=re.escape("P must be one-dimensional, got shape (2, 2)")):
+        statistical_distance(np.full((2, 2), 0.25), np.eye(2) / 2)
+    with pytest.raises(ValueError, match=re.escape("Q must be one-dimensional, got shape (2, 2)")):
+        statistical_distance([0.5, 0.5], np.eye(2) / 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,6 +72,8 @@ def test_statistical_distance_rejects_non_finite(bad):
         ([np.inf, -0.5], "has a non-finite entry"),
         ([-0.5, 1.5], "has a negative entry"),
         ([], "is empty"),
+        (1.0, "must be one-dimensional"),
+        ([[0.5], [0.5]], "must be one-dimensional"),
     ],
 )
 def test_statistical_distance_names_the_defect(p, needle):
