@@ -211,15 +211,22 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normal_rows(rng: np.random.Generator, m: int, n: int, parts: int = 1) -> list[np.ndarray]:
+def _normal_rows(
+    rng: np.random.Generator, m: int, n: int, parts: int = 1, out=None
+) -> list[np.ndarray]:
     """``parts`` arrays of (m, n) standard normals whose joint rows (row i
     of every part) are none below 1e-12 in norm.
 
     Each part is one ``rng.standard_normal((m, n))`` call, part 0 first.
     While k joint rows are below 1e-12 in norm, each part's k rows are
-    replaced, in the same order, by one more ``(k, n)`` call.
+    replaced, in the same order, by one more ``(k, n)`` call.  ``out``, if
+    given, holds ``parts`` C-contiguous float64 arrays of shape (m, n) that
+    the first calls fill (``standard_normal(out=…)``) and that are returned:
+    the caller owns them, and the draws and redraws are those of the
+    allocating call.
     """
-    xs = [rng.standard_normal((m, n)) for _ in range(parts)]
+    outs = [None] * parts if out is None else out
+    xs = [rng.standard_normal((m, n), out=x) for x in outs]
     while True:
         # a row that small has a first entry below 1e-12 too, so only such
         # rows (almost never any) have their norms taken

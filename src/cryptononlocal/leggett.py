@@ -231,28 +231,55 @@ def _mc_workers(n_chunks: int) -> int:
     return max(1, min(cpus, n_chunks))
 
 
+def _carve(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of the flat ``buf``, one per shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[lo : lo + size].reshape(shape))
+        lo += size
+    return views
+
+
 def _mc_estimate(kernel, n_samples: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of ``n_samples`` values, 65536 to a chunk.
 
-    ``kernel`` is a law's ``(rows, block_values)``.  Chunk i reads the
-    stream ``gen = substream(seed, i)`` in blocks of ``rows`` samples (the
-    last one shorter), each block of k samples taking the values
-    ``block_values(gen, k)``, so the estimate depends only on the seed and
-    the sample count.  The chunks run on a thread pool with one worker per CPU in the
-    affinity mask, at most one per chunk (a single chunk runs in the calling
-    thread); the random draws release the interpreter lock.  Each chunk's
-    sum and sum of squared deviations from its own mean are combined in
-    chunk order by `math.fsum`, so neither the thread count nor the
-    reduction order can move the estimate.
+    ``kernel`` is a law's ``(rows, new_block_values)``.  Chunk i of m
+    samples reads the stream ``gen = substream(seed, i)`` in blocks of
+    ``rows`` samples (the last one shorter): it calls
+    ``block_values = new_block_values(min(rows, m))`` once, and then, for
+    each block of k samples, ``block_values(gen, k, out)``, which writes the
+    block's values into its slice ``out`` of the chunk's values.  So the
+    estimate depends only on the seed and the sample count.  Each chunk owns
+    the one buffer that ``new_block_values`` allocates for all of its
+    blocks: no buffer is shared between threads or kept after the chunk
+    returns, and the draws are those of allocating calls.  One allocation,
+    not one per array: glibc raises its mmap threshold to the largest mapped
+    block it frees and trims the heap only above twice that, so a chunk-sized
+    buffer stays mapped between calls, where a block's many smaller arrays
+    were handed back to the OS and page-faulted in again.  A Haar-pure call
+    of 8192 samples took 192/256/295/462 minor page faults at d = 3/4/5/6
+    with arrays allocated per block, and none with one buffer
+    (``getrusage``); a 65536-sample chunk at d = 6 took 4158 and none, and
+    25.5-27.9 against 17.4-18.6 ms (medians of 15 calls in each of three
+    alternations, ``OPENBLAS_NUM_THREADS=1``, 2-core VM).  The chunks run on a
+    thread pool with one worker per CPU in the affinity mask, at most one
+    per chunk (a single chunk runs in the calling thread); the random draws
+    release the interpreter lock.  Each chunk's sum and sum of squared
+    deviations from its own mean are combined in chunk order by
+    `math.fsum`, so neither the thread count nor the reduction order can
+    move the estimate.
     """
-    rows, block_values = kernel
+    rows, new_block_values = kernel
 
     def chunk_sums(i: int) -> tuple[int, float, float]:
         m = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
         gen = substream(seed, i)
         vals = np.empty(m)
+        block_values = new_block_values(min(rows, m))
         for lo in range(0, m, rows):
-            vals[lo : lo + rows] = block_values(gen, min(rows, m - lo))
+            k = min(rows, m - lo)
+            block_values(gen, k, vals[lo : lo + k])
         total = float(vals.sum())
         vals -= total / m  # deviations from the chunk mean
         # einsum's own loop, not BLAS: np.dot splits long vectors over
@@ -277,7 +304,7 @@ def _mc_estimate(kernel, n_samples: int, seed: int) -> tuple[float, float]:
 
 
 def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
-    """``(rows, block_values)`` of sphere-uniform hidden states, for `_mc_estimate`.
+    """``(rows, new_block_values)`` of sphere-uniform hidden states, for `_mc_estimate`.
 
     A block of ``rows = _mc_block_rows((d^2 - 1) d)`` samples is one
     `_normal_rows` call (the draws of `sample_sphere`) left unnormalized:
@@ -285,11 +312,18 @@ def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
     is divided once by |x|.  From d = 17 up, where the 64-row floor binds, a
     block's projection is summed left to right over slices of
     ``2**18 // (64 d)`` coordinates, so no product is split over BLAS threads.
-    A worker holds one block, ``max(2 MiB / d, 512 (d^2 - 1) bytes)`` (5 MB at
-    d = 100), and its chunk's 512 KiB of values (tracemalloc: 0.71 MiB at
-    d = 12).  Drawing in blocks reads the stream as one draw per chunk would,
-    except that the redraw of a row of norm below 1e-12 (probability below
-    1e-30 per row) follows its block, not its chunk.
+    ``new_block_values(r)`` makes the chunk's one ``np.empty`` of
+    ``r (d^2 + 2d)`` floats, and each block of k samples fills C-contiguous
+    views of its first ``k (d^2 + 2d)`` in place (the draws, the
+    projections, one slice's product and the norms) and writes its values
+    into ``out``.  A worker holds that buffer, about
+    ``max(2 MiB / d, 512 (d^2 + 2d) bytes)`` (5.2 MB at d = 100), and its
+    chunk's 512 KiB of values (tracemalloc of one chunk: 0.97 MiB at d = 6,
+    0.71 at d = 12, 15.3 at d = 100, set there by the difference matrix;
+    0.96, 0.71 and 15.3 with arrays allocated per block).  Drawing in
+    blocks reads the stream as one draw per chunk would, except that the
+    redraw of a row of norm below 1e-12 (probability below 1e-30 per row)
+    follows its block, not its chunk.
     """
     d = basis.d
     coef = eta * (d - 1) / d**2
@@ -299,18 +333,27 @@ def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
     # coordinates per product, within _MC_BLOCK multiply-adds: all unless the floor binds
     span = max(1, _MC_BLOCK // (rows * d))
 
-    def block_values(gen, k: int) -> np.ndarray:
-        (x,) = _normal_rows(gen, k, n_dim)
-        proj = x[:, :span] @ diffs[:, :span].T
-        for c in range(span, n_dim, span):
-            proj += x[:, c : c + span] @ diffs[:, c : c + span].T
-        return coef * np.abs(proj).sum(axis=1) / np.sqrt(np.einsum("ij,ij->i", x, x))
+    def new_block_values(max_rows: int):
+        buf = np.empty(max_rows * (n_dim + 2 * d + 1))
 
-    return rows, block_values
+        def block_values(gen, k: int, out: np.ndarray) -> None:
+            x, proj, part, norm = _carve(buf, (k, n_dim), (k, d), (k, d), (k,))
+            _normal_rows(gen, k, n_dim, out=[x])
+            np.matmul(x[:, :span], diffs[:, :span].T, out=proj)
+            for c in range(span, n_dim, span):
+                proj += np.matmul(x[:, c : c + span], diffs[:, c : c + span].T, out=part)
+            np.abs(proj, out=proj)
+            np.sum(proj, axis=1, out=out)
+            out *= coef
+            out /= np.sqrt(np.einsum("ij,ij->i", x, x, out=norm), out=norm)
+
+        return block_values
+
+    return rows, new_block_values
 
 
 def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
-    """``(rows, block_values)`` of Haar-pure hidden states, for `_mc_estimate`.
+    """``(rows, new_block_values)`` of Haar-pure hidden states, for `_mc_estimate`.
 
     A sample is a raw complex Gaussian row z, held as its real and imaginary
     parts, never normalized or mapped to a Bloch vector.  By the projection
@@ -324,10 +367,18 @@ def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
     ``size=rows``, and costs two real (2d, d) x (d, rows) products, whose
     sum holds Re and Im of every ``<a_x|z>``.  From d = 46 up, where the
     64-row floor binds, OpenBLAS may split a product over its threads, but
-    each entry is still one unbroken sum of d terms (tested at d = 51).  A
-    worker holds its chunk's 512 KiB of values and one block's arrays, about
-    six of ``rows`` x d floats: at most 8 MiB / d above the floor (tracemalloc
-    of one chunk: 1.54 MiB at d = 6, 0.83 at d = 20, 1.14 at d = 100).
+    each entry is still one unbroken sum of d terms (tested at d = 51).
+    ``new_block_values(r)`` makes the chunk's one ``np.empty`` of
+    ``r (6d + 1)`` floats, and each block of k samples fills C-contiguous
+    views of its first ``k (6d + 1)`` in place (the two draws, the two
+    products, ``|z|^2``) and writes its values into ``out``; the step
+    ``q_x - q_{x-1}`` is two subtractions into the first product's rows.  A
+    worker holds that buffer, about 6 MiB / d above the floor, and its
+    chunk's 512 KiB of values, within 512 KiB + 8 MiB / d (tracemalloc of
+    one chunk: 1.56 MiB at d = 6, 0.82 at d = 20, 1.11 at d = 100; 1.54,
+    0.83 and 1.14 with arrays allocated per block).  A call of 8192 samples
+    at d = 6 took 1.93 ms at best of 400 against 2.71 ms with arrays
+    allocated per block.
     """
     d = basis.d
     coef = eta / d
@@ -336,19 +387,31 @@ def _haar_chunk_values(basis: MeasurementBasisBloch, eta: float):
     w_re = np.concatenate([a.real, -a.imag])
     w_im = np.concatenate([a.imag, a.real])
 
-    def block_values(gen, k: int) -> np.ndarray:
-        re, im = _normal_rows(gen, k, d, parts=2)
-        sq = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-        # one column per sample, so every elementwise pass runs along rows of length k
-        amp = w_re @ re.T
-        amp += w_im @ im.T
-        amp *= amp
-        q = amp[:d] + amp[d:]  # |<a_x|z>|^2
-        q -= np.roll(q, 1, axis=0)
-        np.abs(q, out=q)
-        return coef * q.sum(axis=0) / sq
+    def new_block_values(max_rows: int):
+        buf = np.empty(max_rows * (6 * d + 1))
 
-    return _mc_block_rows(2 * d * d), block_values
+        def block_values(gen, k: int, out: np.ndarray) -> None:
+            re, im, amp, part, sq = _carve(buf, (k, d), (k, d), (2 * d, k), (2 * d, k), (k,))
+            _normal_rows(gen, k, d, parts=2, out=[re, im])
+            # |z|^2; part is free until it takes the second product
+            np.einsum("ij,ij->i", re, re, out=sq)
+            sq += np.einsum("ij,ij->i", im, im, out=part[0])
+            # one column per sample, so every elementwise pass runs along rows of length k
+            np.matmul(w_re, re.T, out=amp)
+            amp += np.matmul(w_im, im.T, out=part)
+            amp *= amp
+            q = np.add(amp[:d], amp[d:], out=part[:d])  # |<a_x|z>|^2
+            step = amp[:d]  # q_x - q_{x-1}, x cyclic
+            np.subtract(q[1:], q[:-1], out=step[1:])
+            np.subtract(q[0], q[-1], out=step[0])
+            np.abs(step, out=step)
+            np.sum(step, axis=0, out=out)
+            out *= coef
+            out /= sq
+
+        return block_values
+
+    return _mc_block_rows(2 * d * d), new_block_values
 
 
 # the Monte Carlo kernel of each hidden-state law, by `LocalModel.u_mode`

@@ -236,12 +236,13 @@ def joint_from_bases(
     """Born-rule joint distribution of a bipartite state under given bases.
 
     ``alice``/``bob`` have shape (N, d, d), N >= 1 and d >= 2, with rows
-    ``[setting, outcome, :]``, and ``state`` has d**2 entries.  They are
-    checked on entry, before any product, Alice's first, and `ValueError`
-    names the first defect: each stack goes through the one basis check,
-    `_check_bases` (which names the first 1-based setting whose rows are not
-    orthonormal, ``max |U U^dagger - I| > PROB_TOL``), and the state through
-    the one array check, finite with a norm^2 within ``PROB_TOL`` of 1.
+    ``[setting, outcome, :]``, and ``state`` is one-dimensional with d**2
+    entries.  They are checked on entry, before any product, Alice's first,
+    and `ValueError` names the first defect: each stack goes through the one
+    basis check, `_check_bases` (which names the first 1-based setting whose
+    rows are not orthonormal, ``max |U U^dagger - I| > PROB_TOL``), and the
+    state through the one array check: one-dimensional (never flattened),
+    finite, with a norm^2 within ``PROB_TOL`` of 1.
 
     The tensor is then not checked again: under the Born rule with complete
     measurements it is a distribution by construction.  Its entries are
@@ -265,7 +266,9 @@ def joint_from_bases(
     if bob.shape != alice.shape:
         raise ValueError("Alice and Bob basis arrays must share a shape")
     n, d = alice.shape[0], alice.shape[1]
-    s = _as_array(state, "state", complex).reshape(-1)
+    s = _as_array(state, "state", complex)
+    if s.ndim != 1:
+        raise ValueError(f"state must be one-dimensional, got shape {s.shape}")
     if s.shape[0] != d * d:
         raise ValueError(f"state length {s.shape[0]} does not match d={d}")
     if not np.isfinite(s).all():

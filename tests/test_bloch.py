@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cryptononlocal.bloch import (
+    _normal_rows,
     bloch_to_density,
     expected_abs_projection,
     sample_haar_pure,
@@ -191,9 +192,9 @@ class _ZeroFirstRows:
         self.gen = substream(47, 0)
         self.shapes = []
 
-    def standard_normal(self, shape):
+    def standard_normal(self, shape, out=None):
         self.shapes.append(shape)
-        out = self.gen.standard_normal(shape)
+        out = self.gen.standard_normal(shape, out=out)
         if shape[0] == self.rows:
             out[0] = 0.0
         return out
@@ -210,6 +211,19 @@ def test_samplers_redraw_a_zero_row():
     assert stub.shapes == [(5, 3), (5, 3), (1, 3), (1, 3)]
     assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < ATOL
     assert np.all(np.abs(states[0]) > 0)
+
+
+def test_buffered_draw_redraws_as_the_allocating_draw():
+    stub = _ZeroFirstRows(5)
+    re, im = _normal_rows(stub, 5, 3, parts=2)
+    assert stub.shapes == [(5, 3), (5, 3), (1, 3), (1, 3)]
+    stub = _ZeroFirstRows(5)
+    out = [np.empty((5, 3)), np.empty((5, 3))]
+    parts = _normal_rows(stub, 5, 3, parts=2, out=out)
+    assert stub.shapes == [(5, 3), (5, 3), (1, 3), (1, 3)]
+    assert all(part is buf for part, buf in zip(parts, out))
+    assert np.array_equal(out[0], re) and np.array_equal(out[1], im)
+    assert np.all(np.linalg.norm(np.hstack(out), axis=1) > 0)
 
 
 def test_sphere_coordinate_symmetry():

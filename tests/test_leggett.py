@@ -345,6 +345,27 @@ def test_mc_bound_same_for_any_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+# Determinism pins: the bits these Haar-pure estimates had when they were
+# recorded, so that a change in how the kernel reads its streams or splits a
+# chunk into blocks shows (a last-bit change of one sample's value is mostly
+# lost in the sums).  They are not accuracy targets.
+HAAR_PINS = {
+    # one block
+    (3, 8192): ("0x1.54edf53a96a22p-2", "0x1.87154a92dec72p-10"),
+    # 19 blocks a chunk, the last of 16 rows; four chunks, the last of 7 samples
+    (6, 3 * _MC_CHUNK + 7): ("0x1.559358297cfa2p-3", "0x1.e66541ead1c9ep-14"),
+    # 64-row blocks
+    (51, 2 * _MC_CHUNK): ("0x1.41358b83f4999p-6", "0x1.9c8badc321493p-18"),
+}
+
+
+@pytest.mark.parametrize("d,n_samples", HAAR_PINS, ids=[f"d{d}-{n}" for d, n in HAAR_PINS])
+def test_mc_bound_haar_keeps_its_pinned_bits(d, n_samples):
+    model = LocalModel(d=d, u_mode="haar-pure")
+    est = leggett_bound_mc(_cglmp_basis(d, n=1), model, n_samples, 7)
+    assert (est.value.hex(), est.std_error.hex()) == HAAR_PINS[d, n_samples]
+
+
 @pytest.mark.parametrize("u_mode", leggett.U_MODES)
 def test_mc_bound_single_chunk_uses_no_pool(monkeypatch, u_mode):
     import concurrent.futures
@@ -379,10 +400,11 @@ def test_mc_bound_memory_does_not_grow_with_the_chunk():
     assert peak < 16 * 2**20
 
 
-def test_mc_bound_haar_memory_stays_within_its_stated_bound():
-    # a Haar-pure chunk is drawn per block: its 8-byte values plus one
-    # block's arrays of at most 8 MiB / d, as `_haar_chunk_values` states
-    d = 20
+@pytest.mark.parametrize("d", [6, 20])
+def test_mc_bound_haar_memory_stays_within_its_stated_bound(d):
+    # a Haar-pure chunk holds its 8-byte values plus one buffer for its
+    # blocks, at most 8 MiB / d above the floor, as `_haar_chunk_values`
+    # states; a chunk is 19 blocks at d = 6 and 201 at d = 20
     basis, model = _cglmp_basis(d), LocalModel(d=d, u_mode="haar-pure")
     leggett_bound_mc(basis, model, 10, 43)  # lazy imports, outside the trace
     tracemalloc.start()

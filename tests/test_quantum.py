@@ -449,6 +449,16 @@ def test_joint_from_bases_refuses_an_unnormalized_state():
         joint_from_bases((1 + 1e-9) * maximally_entangled(3), alice, bob)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 4), (2, 2)], ids=["1x1x4", "2x2"])
+def test_joint_from_bases_refuses_a_state_that_is_not_one_dimensional(shape):
+    # the Bell state, flattened, would give its table
+    state = np.eye(2).reshape(shape) / math.sqrt(2)
+    with pytest.raises(
+        ValueError, match=re.escape(f"state must be one-dimensional, got shape {shape}")
+    ):
+        joint_from_bases(state, [np.eye(2)], [np.eye(2)])
+
+
 def test_joint_from_bases_refuses_no_settings():
     bases = np.zeros((0, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match=r"N >= 1 and d >= 2, got shape \(0, 2, 2\)"):
