@@ -26,13 +26,14 @@ perfectly predicted by one hidden unit vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import _as_array, _bloch_coords, _integer
-from .quantum import JointDistribution, _chain_terms, _check_bases, _check_tol, _signaling_residuals
-from .quantum import chained_value
+from .quantum import JointDistribution, _chain_terms, _check_bases, _check_tol, _joint
+from .quantum import _signaling_residuals, chained_value
 
 __all__ = [
     "statistical_distance",
@@ -61,10 +62,12 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} is empty")
     # Python's float sum, unlike ndarray.sum, never warns: any non-finite entry
     # or overflow makes it inf or nan, and only then does np.isfinite run.
-    total = sum(p.tolist())
+    values = p.tolist()
+    total = sum(values)
     if not math.isfinite(total) and not np.isfinite(p).all():
         raise ValueError(f"{name} has a non-finite entry")
-    if p.min() < -1e-12:
+    # every entry is finite here, so the list's minimum is p.min()
+    if min(values) < -1e-12:
         raise ValueError(f"{name} has a negative entry")
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"{name} is not normalized")
@@ -82,7 +85,7 @@ def statistical_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = _check_distribution(q, "Q")
     if p.shape != q.shape:
         raise ValueError("distributions have different outcome counts")
-    return float(np.abs(p - q).sum() / p.shape[0])
+    return float(np.add.reduce(np.abs(p - q)) / p.shape[0])
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,10 @@ class NoSignalingReport:
 
 def check_no_signaling(dist: JointDistribution, tol: float = 1e-12) -> NoSignalingReport:
     """Largest variation of either party's marginals across remote settings;
-    a NaN or negative ``tol`` raises `ValueError`."""
+    a NaN or negative ``tol`` raises `ValueError`, a ``dist`` that is not a
+    `JointDistribution` `TypeError`."""
     _check_tol(tol)
-    res_a, res_b = _signaling_residuals(dist.probs)
+    res_a, res_b = _signaling_residuals(_joint(dist).probs)
     residual = max(res_a, res_b)
     return NoSignalingReport(
         alice_residual=res_a,
@@ -117,6 +121,8 @@ def random_no_signaling(
     (1 - mix) : mix.  Both blocks are no-signaling by construction, so no
     projection or clipping is ever needed.  Every draw comes from the
     Generator ``rng``; ``substream(seed, 0)`` gives one keyed to a seed.
+    An ``rng`` that is not a `numpy.random.Generator`, or a ``mix`` that is
+    not a real number (a bool included), raises `TypeError`.
 
     Each term is added to a flat buffer of n^2 d^2 entries by one scatter
     into the cells it weighs: one per setting pair for a strategy, one per
@@ -126,8 +132,16 @@ def random_no_signaling(
     a dense array per term gives.  A distribution by construction, it is not validated.
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
+    # a float, the common case, skips the isinstance calls
+    if type(mix) is not float and (isinstance(mix, bool) or not isinstance(mix, numbers.Real)):
+        raise TypeError(f"mix={mix!r} is not a number")
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(
+            f"rng is a {type(rng).__name__}, not a numpy Generator: "
+            "draw one with substream(seed, stream)"
+        )
     flat = np.zeros(n * n * d * d)
     # entry (A, B, X, Y) sits at flat index (A n + B) d^2 + X d + Y
     pair = np.arange(0, flat.size, d * d).reshape(n, n)
@@ -164,17 +178,23 @@ def verify_shift_bound(dist: JointDistribution, tol: float = 1e-9) -> ShiftBound
 
     `JointDistribution.validate` at ``tol`` is the one check of ``dist``
     (and of a ``verify --input`` fixture), no-signaling included, as the
-    bound presumes it.  ``slack`` is I_N minus the largest per-setting
-    shift distance and must stay above -tol.
+    bound presumes it; a ``dist`` that is not a `JointDistribution` raises
+    `TypeError`.  ``slack`` is I_N minus the largest per-setting shift
+    distance and must stay above -tol.
     """
+    dist = _joint(dist)
     dist.validate(tol)
     i_n = chained_value(dist)
     # (A, X), B-averaged: the sum and division that mean(axis=1) makes
-    marg = dist.probs.sum(axis=3).sum(axis=1) / dist.n
-    # marg[:, next_x] is np.roll(marg, -1, axis=1), in one call
-    next_x = np.arange(1, dist.d + 1) % dist.d
-    shifts = np.abs(marg - marg[:, next_x]).sum(axis=1) / dist.d
-    max_shift = float(shifts.max())
+    marg = np.add.reduce(np.add.reduce(dist.probs, axis=3), axis=1)
+    marg /= dist.n
+    # marg - np.roll(marg, -1, axis=1), in two subtractions
+    step = np.empty_like(marg)
+    np.subtract(marg[:, :-1], marg[:, 1:], out=step[:, :-1])
+    np.subtract(marg[:, -1], marg[:, 0], out=step[:, -1])
+    shifts = np.add.reduce(np.abs(step, out=step), axis=1)
+    shifts /= dist.d
+    max_shift = float(np.maximum.reduce(shifts))
     slack = i_n - max_shift
     return ShiftBoundReport(
         chained=i_n,
@@ -200,13 +220,15 @@ def check_agreement_bound(
 
     ``a`` and ``b`` are 1-based setting indices; a bool or a float raises
     `TypeError`, an index outside 1..n or a NaN or negative ``tol`` `ValueError`.
+    A ``dist`` that is not a `JointDistribution` raises `TypeError`.
     """
     _check_tol(tol)
-    a = _integer("setting index a", a, 1, dist.n)
-    b = _integer("setting index b", b, 1, dist.n)
+    n = _joint(dist).n
+    a = _integer("setting index a", a, 1, n)
+    b = _integer("setting index b", b, 1, n)
     block = dist.probs[a - 1, b - 1]
     p_equal = float(block.trace())
-    delta = statistical_distance(block.sum(axis=1), block.sum(axis=0))
+    delta = statistical_distance(np.add.reduce(block, axis=1), np.add.reduce(block, axis=0))
     slack = 1.0 - delta - p_equal
     return AgreementReport(
         p_equal=p_equal, distance=delta, slack=slack, passed=slack >= -tol
@@ -301,14 +323,15 @@ def deterministic_contradiction(
     through the one basis check, named ``basis1`` or ``basis2``; bases of
     two different dimensions raise `ValueError` too.
     """
-    vectors1 = _bloch_coords(_check_bases(basis1, "basis1", 2))
-    vectors2 = _bloch_coords(_check_bases(basis2, "basis2", 2))
-    d = len(vectors1)
-    if len(vectors2) != d:
-        raise ValueError(f"bases of different dimensions: d={d} and d={len(vectors2)}")
+    basis1 = _check_bases(basis1, "basis1", 2)
+    basis2 = _check_bases(basis2, "basis2", 2)
+    d = len(basis1)
+    if len(basis2) != d:
+        raise ValueError(f"bases of different dimensions: d={d} and d={len(basis2)}")
     x1 = _integer("outcome index x1", x1, 0, d - 1)
     x2 = _integer("outcome index x2", x2, 0, d - 1)
-    a, b = vectors1[x1], vectors2[x2]
+    # only the two compared states: the map works row by row
+    a, b = _bloch_coords(basis1[x1]), _bloch_coords(basis2[x2])
     equal = bool(np.linalg.norm(a - b) <= 1e-10)
     s = a + b
     norm_s = float(np.linalg.norm(s))

@@ -128,9 +128,15 @@ def _signaling_residuals(probs: np.ndarray) -> tuple[float, float]:
     # reducing over the leading axis runs on long rows, over axis 1 on
     # d-long ones: the transposed copy costs less than it saves
     alice_by_b = np.ascontiguousarray(alice.transpose(1, 0, 2))  # (B, A, X)
+    # the ufuncs' own reductions: at small n and d the ndarray.max and .min
+    # wrappers cost more than the arithmetic
+    alice_spread = np.maximum.reduce(alice_by_b, axis=0)
+    alice_spread -= np.minimum.reduce(alice_by_b, axis=0)
+    bob_spread = np.maximum.reduce(bob, axis=0)
+    bob_spread -= np.minimum.reduce(bob, axis=0)
     return (
-        float((alice_by_b.max(axis=0) - alice_by_b.min(axis=0)).max()),
-        float((bob.max(axis=0) - bob.min(axis=0)).max()),
+        float(np.maximum.reduce(alice_spread, axis=None)),
+        float(np.maximum.reduce(bob_spread, axis=None)),
     )
 
 
@@ -177,16 +183,26 @@ class JointDistribution:
         # NaN compares False, so the sign and sum checks would pass it.  The
         # sums of finite entries can overflow too, so np.isfinite decides
         # which defect a non-finite deviation names.
-        deviation = np.abs(np.einsum("abxy->ab", p) - 1.0).max()
+        deviation = np.maximum.reduce(np.abs(np.einsum("abxy->ab", p) - 1.0), axis=None)
         if not math.isfinite(deviation) and not np.isfinite(p).all():
             raise ValueError("non-finite entry")
-        if p.min() < -tol:
+        if np.minimum.reduce(p, axis=None) < -tol:
             raise ValueError("negative probability entry")
         if deviation > tol:
             raise ValueError("setting pair not normalized")
         residual = max(_signaling_residuals(p))
         if residual > tol:
             raise ValueError(f"distribution signals (residual {residual:.3g} > {tol:.3g})")
+
+
+def _joint(dist) -> JointDistribution:
+    """``dist`` itself; anything but a `JointDistribution` raises `TypeError`."""
+    if not isinstance(dist, JointDistribution):
+        raise TypeError(
+            f"dist is a {type(dist).__name__}, not a JointDistribution: "
+            "wrap the array with JointDistribution first"
+        )
+    return dist
 
 
 def _check_bases(bases, name: str, ndim: int) -> np.ndarray:
@@ -362,21 +378,33 @@ def _chain_terms(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
 
 
 def chained_value(dist: JointDistribution) -> float:
-    """The chained quantity I_N of a joint distribution, run by run of `_chain_terms`."""
-    return sum(
-        float((w * np.einsum("iixy->xy", dist.probs[a : a + k, b : b + k])).sum())
-        for (_, _, a, b, k), w in zip(_chain_terms(dist.n), _chain_weights(dist.d))
-    )
+    """The chained quantity I_N of a joint distribution, run by run of `_chain_terms`.
+
+    A run's d x d blocks, pairs ``(A0 + i, B0 + i)``, lie n + 1 blocks apart
+    in the ``(n n, d, d)`` view of the tensor, so one strided slice holds
+    them all and one reduction sums them, in pair order.  The three sums
+    are weighted by one product and each summed on its own, and I_N adds
+    the three totals in run order.  A ``dist`` that is not a
+    `JointDistribution`, such as a bare array, raises `TypeError`.
+    """
+    probs = _joint(dist).probs
+    n, d = probs.shape[0], probs.shape[2]
+    blocks = probs.reshape(n * n, d, d)
+    runs = np.empty((3, d, d))
+    for run, (_, _, a, b, k) in zip(runs, _chain_terms(n)):
+        np.add.reduce(blocks[a * n + b :: n + 1][:k], axis=0, out=run)
+    runs *= _chain_weights(d)
+    return sum(np.add.reduce(runs, axis=(1, 2)).tolist())
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_weights(d: int) -> tuple[np.ndarray, ...]:
-    """Read-only weights ``[sign (X - Y) - shift]`` (mod d), indexed ``[X, Y]``,
-    of the runs of `_chain_terms`, whose signs and shifts do not depend on N."""
+def _chain_weights(d: int) -> np.ndarray:
+    """Read-only weights ``[sign (X - Y) - shift]`` (mod d) of the runs of
+    `_chain_terms`, whose signs and shifts do not depend on N, as floats
+    indexed ``[run, X, Y]``."""
     x, y = np.ogrid[:d, :d]
-    weights = tuple((sign * (x - y) - shift) % d for sign, shift, *_ in _chain_terms(1))
-    for w in weights:
-        w.flags.writeable = False
+    weights = np.array([(sign * (x - y) - shift) % d for sign, shift, *_ in _chain_terms(1)], float)
+    weights.flags.writeable = False
     return weights
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -364,6 +365,41 @@ def test_mc_bound_haar_keeps_its_pinned_bits(d, n_samples):
     model = LocalModel(d=d, u_mode="haar-pure")
     est = leggett_bound_mc(_cglmp_basis(d, n=1), model, n_samples, 7)
     assert (est.value.hex(), est.std_error.hex()) == HAAR_PINS[d, n_samples]
+
+
+def _chunk_values_sha256(u_mode, d, seed=7):
+    """sha256 of every per-sample value of one chunk of two blocks and a
+    short third, run by `_mc_estimate`."""
+    rows, new_block_values = leggett._MC_KERNELS[u_mode](_cglmp_basis(d, n=1), 1.0)
+    blocks = []
+
+    def recording_new_block_values(max_rows):
+        block_values = new_block_values(max_rows)
+
+        def recording_block_values(gen, k, out):
+            block_values(gen, k, out)
+            blocks.append(out.copy())
+
+        return recording_block_values
+
+    leggett._mc_estimate((rows, recording_new_block_values), 2 * rows + 7, seed)
+    return hashlib.sha256(np.concatenate(blocks).tobytes()).hexdigest()
+
+
+# Determinism pins of each sample's value: a last-bit change of one sample,
+# which the estimate's sums mostly lose, shows here.  Recorded with numpy 2.4
+# on x86-64.
+CHUNK_VALUE_PINS = {
+    ("sphere-uniform", 3): "9cedd28fb7dc330a258381f78499422aca911284bd9b8a7cdc554147e885eefe",
+    ("sphere-uniform", 6): "ce48d98adf5760071ef72123d4f85594d066bdb9a06cea8c31b16280e5b2f096",
+    ("haar-pure", 3): "e60869c32361645815919bde909085b6d8ca541b6b0369ae0f6fd61b8fbc60bd",
+    ("haar-pure", 6): "b1879c87e118c49f196beba79153819b1758ab82b5ae31696d4aeefa25df9653",
+}
+
+
+@pytest.mark.parametrize("u_mode,d", CHUNK_VALUE_PINS, ids=[f"{u}-d{d}" for u, d in CHUNK_VALUE_PINS])
+def test_mc_chunk_keeps_the_pinned_bits_of_every_sample(u_mode, d):
+    assert _chunk_values_sha256(u_mode, d) == CHUNK_VALUE_PINS[u_mode, d]
 
 
 @pytest.mark.parametrize("u_mode", leggett.U_MODES)

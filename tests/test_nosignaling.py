@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cryptononlocal.bloch import substream
+from cryptononlocal.leggett import basis_to_bloch
 from cryptononlocal.nosignaling import (
     check_agreement_bound,
     check_no_signaling,
@@ -162,6 +163,30 @@ def test_random_no_signaling_rejects_bad_mix():
 
 
 @pytest.mark.parametrize(
+    "mix", [True, np.True_, "0.5", None, 0.5j], ids=["bool", "numpy-bool", "str", "None", "complex"]
+)
+def test_random_no_signaling_refuses_a_mix_that_is_not_a_real_number(mix):
+    # True once built a box with mix 1, and "0.5" failed on a bare comparison
+    with pytest.raises(TypeError, match=re.escape(f"mix={mix!r} is not a number")):
+        random_no_signaling(2, 2, mix, substream(1, 0))
+
+
+def test_random_no_signaling_takes_any_real_mix():
+    boxes = [random_no_signaling(3, 2, mix, substream(1, 0)).probs for mix in (1, np.float32(1.0), 1.0)]
+    assert np.array_equal(boxes[0], boxes[2]) and np.array_equal(boxes[1], boxes[2])
+
+
+@pytest.mark.parametrize(
+    "rng", [7, None, np.random.RandomState(7), np.random.PCG64(7)], ids=["int", "None", "RandomState", "PCG64"]
+)
+def test_random_no_signaling_refuses_an_rng_that_is_not_a_generator(rng):
+    # an int once raised AttributeError: 'int' object has no attribute 'integers'
+    name = type(rng).__name__
+    with pytest.raises(TypeError, match=f"rng is a {name}, not a numpy Generator: .*substream"):
+        random_no_signaling(2, 2, 0.5, rng)
+
+
+@pytest.mark.parametrize(
     "d,n,needle", [(1, 3, "d must be >= 2"), (0, 3, "d must"), (3, 0, "n must be >= 1")]
 )
 def test_random_no_signaling_rejects_bad_size(d, n, needle):
@@ -291,7 +316,8 @@ _STRING_BOX = np.where(np.arange(4).reshape(1, 1, 2, 2) == 0, "1", "0")
 def test_tensor_readers_reject_strings(call, form):
     probs = _STRING_BOX if form == "array" else _STRING_BOX.tolist()
     # a reader takes only a JointDistribution, never a bare tensor,
-    with pytest.raises(AttributeError, match="object has no attribute"):
+    name = type(probs).__name__
+    with pytest.raises(TypeError, match=f"dist is a {name}, not a JointDistribution: wrap"):
         call(probs)
     # and the string tensor never becomes one
     with pytest.raises(ValueError, match="dtype <U1"):
@@ -352,7 +378,7 @@ def _ptp_residuals(probs):
 
 
 @pytest.mark.parametrize("mix", [0.0, 1.0, "drawn"])
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", [*range(2, 10), 12, 16])
 def test_verification_path_is_bit_identical_to_dense_oracles(d, mix):
     for n in range(1, 10):
         seed = 100 * d + n
@@ -519,6 +545,19 @@ def test_contradiction_takes_numpy_integer_outcomes():
     alice, _ = cglmp_bases(chained_settings(3, 2))
     report = deterministic_contradiction(alice[0], alice[1], np.int64(2), 2)
     assert report.gap == deterministic_contradiction(alice[0], alice[1], 2, 2).gap
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
+def test_contradiction_maps_the_two_states_as_the_whole_basis(d):
+    # only the compared rows are mapped: the coordinates are those of the
+    # whole basis, bit for bit
+    rng = substream(47, d)
+    basis1, basis2 = haar_unitary(d, rng), haar_unitary(d, rng)
+    vectors1, vectors2 = basis_to_bloch(basis1).vectors, basis_to_bloch(basis2).vectors
+    for x1, x2 in itertools.product(range(d), repeat=2):
+        report = deterministic_contradiction(basis1, basis2, x1, x2)
+        assert np.array_equal(report.vector_a, vectors1[x1])
+        assert np.array_equal(report.vector_b, vectors2[x2])
 
 
 def test_contradiction_adjacent_settings_matches_dense_search():
