@@ -27,11 +27,15 @@ state.
 Randomness is counter-based: ``substream(seed, index)`` builds independent
 Philox generators, so concurrent consumers draw from disjoint streams
 without sharing mutable state, and results depend only on (seed, index).
+`_run_tasks` is the package's one thread pool, shared by the Monte Carlo
+chunks and the Born-rule tensor.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -43,6 +47,58 @@ __all__ = [
     "sample_sphere",
     "sample_haar_pure",
 ]
+
+# Multiply-adds per matrix product of a `_run_tasks` task.  OpenBLAS runs a
+# gemm of at most 2**18 of them in the calling thread (its default
+# GEMM_MULTITHREAD_THRESHOLD 4 x 65536); a threaded gemm leaves BLAS workers
+# spinning on the cores the pool's workers need.
+_TASK_PRODUCT = 1 << 18
+
+
+def _run_tasks(task, n_tasks: int) -> list:
+    """``[task(i) for i in range(n_tasks)]``, the package's one thread pool.
+
+    The tasks run on one worker per CPU in the affinity mask, at most one
+    per task: the calling thread and a pool of the others, each taking the
+    next task left until none is.  With one task or one CPU they run in the
+    calling thread and no pool is made.  Tasks must not share a buffer they
+    write, and should hold each matrix product within ``_TASK_PRODUCT``
+    multiply-adds, so that OpenBLAS runs it in the worker's own thread;
+    numpy and the random draws release the interpreter lock.  The results
+    come back in task order, so a caller that combines them in that order
+    gets the same bits for any worker count.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, n_tasks)
+    if workers < 2:
+        return [task(i) for i in range(n_tasks)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * n_tasks
+    todo = iter(range(n_tasks))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = task(i)
+
+    # the calling thread works too: against a pool of one thread per CPU it
+    # saves a thread's start and memory, and at (d, N) = (8, 200) the Born
+    # tensor took 9.2 ms against 11.6, and 13.3 in the calling thread alone
+    # (medians of 60 calls, OPENBLAS_NUM_THREADS=1, 2-core VM)
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:

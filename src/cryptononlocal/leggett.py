@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bloch
 from .bloch import (
+    _TASK_PRODUCT,
     _as_array,
     _bloch_coords,
     _integer,
@@ -70,11 +71,6 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1 << 16
-# Multiply-adds per block product.  OpenBLAS runs a gemm of at most 2**18 of
-# them in the calling thread (its default GEMM_MULTITHREAD_THRESHOLD
-# 4 x 65536); a threaded gemm leaves BLAS workers spinning on the cores the
-# chunk workers need.
-_MC_BLOCK = 1 << 18
 _SPAN_TOL = 1e-9
 # Interior points per round of `find_critical_n`, evaluated in one pass.
 # Against 8 and 32, 16 gave the fastest search at d <= 24.
@@ -214,21 +210,12 @@ def _difference_matrix(basis: MeasurementBasisBloch) -> np.ndarray:
 
 
 def _mc_block_rows(macs_per_row: int) -> int:
-    """Rows per Monte Carlo block: ``_MC_BLOCK`` multiply-adds, at least 64 rows.
+    """Rows per Monte Carlo block: ``_TASK_PRODUCT`` multiply-adds, at least 64 rows.
 
     With fewer rows a block's product would stream its whole right-hand
     operand for a handful of samples.
     """
-    return max(64, _MC_BLOCK // macs_per_row)
-
-
-def _mc_workers(n_chunks: int) -> int:
-    """Pool size for ``n_chunks`` seeded chunks: usable CPUs, at most one per chunk."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_chunks))
+    return max(64, _TASK_PRODUCT // macs_per_row)
 
 
 def _carve(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -262,13 +249,15 @@ def _mc_estimate(kernel, n_samples: int, seed: int) -> tuple[float, float]:
     with arrays allocated per block, and none with one buffer
     (``getrusage``); a 65536-sample chunk at d = 6 took 4158 and none, and
     25.5-27.9 against 17.4-18.6 ms (medians of 15 calls in each of three
-    alternations, ``OPENBLAS_NUM_THREADS=1``, 2-core VM).  The chunks run on a
-    thread pool with one worker per CPU in the affinity mask, at most one
-    per chunk (a single chunk runs in the calling thread); the random draws
-    release the interpreter lock.  Each chunk's sum and sum of squared
-    deviations from its own mean are combined in chunk order by
-    `math.fsum`, so neither the thread count nor the reduction order can
-    move the estimate.
+    alternations, ``OPENBLAS_NUM_THREADS=1``, 2-core VM).  The chunks are the
+    tasks of `bloch._run_tasks`, the package's one thread pool: one worker
+    per CPU in the affinity mask, the calling thread one of them, at most
+    one per chunk, so a single chunk runs in the calling thread alone.  Each
+    block product stays within ``bloch._TASK_PRODUCT`` (2**18) multiply-adds
+    where the kernel's row floor allows, so OpenBLAS runs it in the worker's
+    thread.  Each chunk's sum and sum of squared deviations from its own
+    mean come back in chunk order and are combined by `math.fsum`, so
+    neither the thread count nor the reduction order can move the estimate.
     """
     rows, new_block_values = kernel
 
@@ -286,15 +275,9 @@ def _mc_estimate(kernel, n_samples: int, seed: int) -> tuple[float, float]:
         # OpenBLAS threads, so its last bits would depend on their count
         return m, total, float(np.einsum("i,i->", vals, vals))
 
-    n_chunks = -(-n_samples // _MC_CHUNK)
-    workers = _mc_workers(n_chunks)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(chunk_sums, range(n_chunks)))
-    else:
-        sums = [chunk_sums(i) for i in range(n_chunks)]
+    # through the module: a tracer that wraps each name one layer imports
+    # from another would count the chunks' own work as bloch's
+    sums = bloch._run_tasks(chunk_sums, -(-n_samples // _MC_CHUNK))
 
     mean = math.fsum(s for _, s, _ in sums) / n_samples
     # squared deviations within chunks plus those of the chunk means
@@ -330,8 +313,8 @@ def _sphere_chunk_values(basis: MeasurementBasisBloch, eta: float):
     n_dim = d * d - 1
     diffs = _difference_matrix(basis)
     rows = _mc_block_rows(n_dim * d)
-    # coordinates per product, within _MC_BLOCK multiply-adds: all unless the floor binds
-    span = max(1, _MC_BLOCK // (rows * d))
+    # coordinates per product, within _TASK_PRODUCT multiply-adds: all unless the floor binds
+    span = max(1, _TASK_PRODUCT // (rows * d))
 
     def new_block_values(max_rows: int):
         buf = np.empty(max_rows * (n_dim + 2 * d + 1))

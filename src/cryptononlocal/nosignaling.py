@@ -60,9 +60,16 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {p.shape}")
     if p.size == 0:
         raise ValueError(f"{name} is empty")
+    _check_entries(p, name)
+    return p
+
+
+def _check_entries(p: np.ndarray, name: str) -> None:
+    """Refuse a non-empty float array ``p`` with a non-finite or negative
+    entry, or whose entries do not sum to 1 (to ``_NORM_TOL``), naming it ``name``."""
     # Python's float sum, unlike ndarray.sum, never warns: any non-finite entry
     # or overflow makes it inf or nan, and only then does np.isfinite run.
-    values = p.tolist()
+    values = p.ravel().tolist()
     total = sum(values)
     if not math.isfinite(total) and not np.isfinite(p).all():
         raise ValueError(f"{name} has a non-finite entry")
@@ -71,7 +78,6 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} has a negative entry")
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"{name} is not normalized")
-    return p
 
 
 def statistical_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -220,15 +226,22 @@ def check_agreement_bound(
 
     ``a`` and ``b`` are 1-based setting indices; a bool or a float raises
     `TypeError`, an index outside 1..n or a NaN or negative ``tol`` `ValueError`.
-    A ``dist`` that is not a `JointDistribution` raises `TypeError`.
+    A ``dist`` that is not a `JointDistribution` raises `TypeError`.  The
+    pair's d x d block is the one thing read, and the one thing checked: a
+    non-finite entry, one below -1e-12 or a sum off 1 by more than 1e-9
+    raises `ValueError` naming ``setting pair (a, b)``.  Its marginals then
+    sum to 1 as well, so Delta is taken of them without further checks.
     """
     _check_tol(tol)
     n = _joint(dist).n
     a = _integer("setting index a", a, 1, n)
     b = _integer("setting index b", b, 1, n)
     block = dist.probs[a - 1, b - 1]
+    _check_entries(block, f"setting pair ({a}, {b})")
     p_equal = float(block.trace())
-    delta = statistical_distance(np.add.reduce(block, axis=1), np.add.reduce(block, axis=0))
+    gap = np.add.reduce(block, axis=1)  # Alice's marginal less Bob's
+    gap -= np.add.reduce(block, axis=0)
+    delta = float(np.add.reduce(np.abs(gap)) / block.shape[0])
     slack = 1.0 - delta - p_equal
     return AgreementReport(
         p_equal=p_equal, distance=delta, slack=slack, passed=slack >= -tol

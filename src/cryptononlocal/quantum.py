@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _as_array, _integer
+from .bloch import _TASK_PRODUCT, _as_array, _integer, _run_tasks
 
 __all__ = [
     "ChainedSettings",
@@ -54,6 +54,10 @@ PROB_TOL = 1e-12
 # blocks of 2**14 to 2**17 time within 5 % of each other; 2**20 takes twice
 # as long.
 _BORN_BLOCK = 1 << 16
+# Entries per pooled task of `joint_from_bases` and `closed_form_probs`, at
+# the least: a pool costs ~0.18 ms to start, and a (4, 67) Born tensor,
+# 2**16 entries, took 0.92 ms pooled against 0.57 ms in the calling thread.
+_TENSOR_TASK = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +276,22 @@ def joint_from_bases(
     ``h`` Alice's half-contracted rows and ``B`` Bob's conjugated columns,
     ``[Re h | -Im h]`` and ``[Im h | Re h]`` times ``[Re B; Im B]`` give the
     real and imaginary parts of a ``(rows d, N d)`` block, whose squares are
-    summed in place and written into the ``(N, N, d, d)`` tensor; peak memory
-    is the tensor plus one ~1 MiB block and the ``(N d, 2 d)`` factors.
-    Nothing here uses the phase structure of the chained bases, so this stays
-    the independent reference for `closed_form_probs`.
+    summed in place and written into the ``(N, N, d, d)`` tensor.
+
+    The blocks run as contiguous tasks of at least ``_TENSOR_TASK`` (2**19)
+    amplitudes on `bloch._run_tasks`, the package's one thread pool.  Each
+    task owns one ~1 MiB buffer for all of its blocks and cuts each block's
+    two products into column slabs, a multiple of 16 wide, of at most
+    ``bloch._TASK_PRODUCT`` (2**18) multiply-adds, so that OpenBLAS runs
+    them in the worker's own thread.  A tensor of fewer than 2**20
+    amplitudes, or one where a 16-column slab of a block passes that bound
+    (d > 90), is one task in the calling thread with whole products, which
+    OpenBLAS may split over its own threads.  Each entry is the same dot
+    product over 2d terms whatever the slab, task or thread, so none of
+    them moves a bit.  Peak memory is the tensor, one buffer per worker and
+    the ``(N d, 2 d)`` factors.  Nothing here uses the phase structure of
+    the chained bases, so this stays the independent reference for
+    `closed_form_probs`.
     """
     alice = _check_bases(alice, "alice", 3)
     bob = _check_bases(bob, "bob", 3)
@@ -305,15 +321,33 @@ def joint_from_bases(
     cols = np.zeros((2 * d, -(-n * d // 16) * 16))
     cols[:d, : n * d] = bob.real.T
     np.negative(bob.imag.T, out=cols[d:, : n * d])
+    width = cols.shape[1]
     probs = np.empty((n, n, d, d))
     rows = max(1, _BORN_BLOCK // (n * d * d))
-    for a in range(0, n, rows):
-        re = w_re[a * d : (a + rows) * d] @ cols
-        im = w_im[a * d : (a + rows) * d] @ cols
-        re *= re
-        im *= im
-        re += im
-        probs[a : a + rows] = re[:, : n * d].reshape(-1, d, n, d).transpose(0, 2, 1, 3)
+    blocks = range(0, n, rows)
+    height = min(rows, n) * d  # rows of the largest block
+    # columns per product: a multiple of 16 within _TASK_PRODUCT multiply-adds
+    slab = _TASK_PRODUCT // (height * 2 * d) // 16 * 16
+    n_tasks = min(len(blocks), (n * d) ** 2 // _TENSOR_TASK) if slab else 1
+    if n_tasks < 2:
+        # whole products: OpenBLAS may split them over its own threads, and
+        # at d = 100 one took ~0.6x the time of its 2**18 slabs
+        n_tasks, slab = 1, width
+
+    def task(t: int) -> None:
+        buf = np.empty((2, height, width))
+        for a in blocks[t * len(blocks) // n_tasks : (t + 1) * len(blocks) // n_tasks]:
+            k = min(rows, n - a) * d
+            re, im = buf[0, :k], buf[1, :k]
+            for c in range(0, width, slab):
+                np.matmul(w_re[a * d : a * d + k], cols[:, c : c + slab], out=re[:, c : c + slab])
+                np.matmul(w_im[a * d : a * d + k], cols[:, c : c + slab], out=im[:, c : c + slab])
+            re *= re
+            im *= im
+            re += im
+            probs[a : a + rows] = re[:, : n * d].reshape(-1, d, n, d).transpose(0, 2, 1, 3)
+
+    _run_tasks(task, n_tasks)
     return JointDistribution(probs)
 
 
@@ -351,23 +385,42 @@ def closed_form_probs(settings: ChainedSettings) -> JointDistribution:
     into ``t = round(gap)`` and ``r = gap - t`` in [-1/2, 1/2]; as the law
     has period d in theta, class m of the gap is the kernel's column
     ``(m + t) mod d`` at r, and column 0, the one class near a multiple of
-    d, is one minus the others, so each block sums to 1 to rounding.  Whole
-    d x d blocks are gathered from there.  Being a distribution by
+    d, is one minus the others, so each block sums to 1 to rounding.  Each
+    setting pair finds its gap by `np.searchsorted` in the sorted distinct
+    gaps, which hold it exactly, and `np.take` writes whole d x d blocks
+    straight into the tensor (``mode="clip"``: with "raise" numpy gathers
+    into a copy first).  The gather runs on `bloch._run_tasks` in tasks of
+    contiguous Alice settings, at least ``_TENSOR_TASK`` (2**19) entries
+    each, so a tensor of fewer than 2**20 entries is one task in the
+    calling thread; a copy has no bits to move.  Being a distribution by
     construction, it is not validated.
     """
     d, n = settings.d, settings.n
-    gaps, where = np.unique(
-        np.subtract.outer(settings.alpha, settings.beta), return_inverse=True
-    )
+    diffs = np.subtract.outer(settings.alpha, settings.beta)
+    # the distinct gaps, sorted: np.unique's first call under numpy 2 imports
+    # numpy.ma, ~10 ms of a fresh process
+    gaps = np.sort(diffs, axis=None)
+    gaps = gaps[np.concatenate(([True], gaps[1:] != gaps[:-1]))]
     turns = np.round(gaps).astype(int)
     pm = _difference_probs(d, gaps - turns)  # (gap, class at r)
     pm[:, 0] = 1.0 - pm[:, 1:].sum(axis=1)
     # flat indices into pm of class m = 0 .. d-1 of each gap
     classes = (turns[:, None] + np.arange(d)) % d + np.arange(0, pm.size, d)[:, None]
     m = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # m[X, Y] = (Y-X) mod d
-    blocks = (pm.take(classes) / d)[:, m]  # (gap, X, Y)
-    # numpy 2.0 returns the inverse in the input's shape, 1.x flat
-    return JointDistribution(blocks[where.reshape(n, n)])
+    # (gap, X, Y), C-contiguous: np.take copies a strided source first
+    blocks = np.take(pm.take(classes) / d, m, axis=1)
+    probs = np.empty((n, n, d, d))
+    n_tasks = max(1, min(n, (n * d) ** 2 // _TENSOR_TASK))
+
+    def task(t: int) -> None:
+        rows = slice(t * n // n_tasks, (t + 1) * n // n_tasks)
+        # the sorted gaps hold every entry of diffs, so each one's index is
+        # exact; "clip" writes straight into probs, "raise" into a copy first
+        where = np.searchsorted(gaps, diffs[rows])
+        np.take(blocks, where, axis=0, out=probs[rows], mode="clip")
+
+    _run_tasks(task, n_tasks)
+    return JointDistribution(probs)
 
 
 def _chain_terms(n: int) -> tuple[tuple[int, int, int, int, int], ...]:

@@ -9,3 +9,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases[None, :]
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Make the package's thread pool, `bloch._run_tasks`, see ``cpus`` CPUs."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cryptononlocal.bloch import (
     _normal_rows,
+    _run_tasks,
     bloch_to_density,
     expected_abs_projection,
     sample_haar_pure,
@@ -12,7 +14,7 @@ from cryptononlocal.bloch import (
     state_to_bloch,
     substream,
 )
-from helpers import haar_unitary
+from helpers import haar_unitary, set_cpus
 
 ATOL = 1e-12
 
@@ -305,3 +307,35 @@ def test_haar_unitary_is_unitary():
     for d in (2, 3, 5):
         u = haar_unitary(d, rng)
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
+
+
+def test_run_tasks_runs_each_task_once_in_task_order(monkeypatch):
+    # more workers than cores, and a thread switch every microsecond
+    set_cpus(monkeypatch, 8)
+    calls = []
+
+    def task(i):
+        calls.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _run_tasks(task, 5000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(5000)]
+    assert sorted(calls) == list(range(5000))
+
+
+@pytest.mark.parametrize("failing", [0, 5])
+def test_run_tasks_raises_a_task_error(monkeypatch, failing):
+    set_cpus(monkeypatch, 4)
+
+    def task(i):
+        if i == failing:
+            raise ValueError(f"task {i} failed")
+        return i
+
+    with pytest.raises(ValueError, match=f"task {failing} failed"):
+        _run_tasks(task, 8)

@@ -42,6 +42,7 @@ from cryptononlocal.quantum import (
     joint_from_bases,
     maximally_entangled,
 )
+from helpers import set_cpus
 
 
 def _cglmp_basis(d, n=2, setting=0):
@@ -303,7 +304,7 @@ def test_mc_bound_same_for_any_worker_count(monkeypatch, u_mode):
     n_samples = 5 * _MC_CHUNK + 11
     estimates = []
     for workers in (1, 2, 4):
-        monkeypatch.setattr(leggett, "_mc_workers", lambda n, w=workers: min(w, n))
+        set_cpus(monkeypatch, workers)
         estimates.append(leggett_bound_mc(basis, model, n_samples, 37))
     assert estimates[0].std_error > 0
     assert estimates[1:] == estimates[:1] * 2

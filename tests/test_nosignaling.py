@@ -273,6 +273,25 @@ def test_agreement_bound_disjoint_supports():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "block,defect",
+    [
+        ([[0.5, -0.1], [0.1, 0.5]], "has a negative entry"),
+        ([[0.5, float("nan")], [0.0, 0.5]], "has a non-finite entry"),
+        ([[0.5, 0.1], [0.0, 0.5]], "is not normalized"),
+    ],
+    ids=["negative", "nan", "not-normalized"],
+)
+def test_agreement_bound_refuses_a_bad_block_by_its_setting_pair(block, defect):
+    # the negative entry hides in the block's marginals, (0.4, 0.6) and (0.6, 0.4)
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[1, 0] = block
+    dist = JointDistribution(probs)
+    with pytest.raises(ValueError, match=re.escape(f"setting pair (2, 1) {defect}")):
+        check_agreement_bound(dist, 2, 1)
+    assert check_agreement_bound(dist, 1, 2).passed
+
+
 def test_agreement_bound_random_corpus():
     for trial in range(200):
         gen = substream(53, trial)

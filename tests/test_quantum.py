@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cryptononlocal import quantum
 from cryptononlocal.bloch import sample_haar_pure, substream
 from cryptononlocal.nosignaling import (
     check_no_signaling,
@@ -28,7 +29,7 @@ from cryptononlocal.quantum import (
     joint_from_bases,
     maximally_entangled,
 )
-from helpers import haar_unitary
+from helpers import haar_unitary, set_cpus
 
 
 def test_settings_phases():
@@ -400,15 +401,99 @@ def test_blocked_born_tensor_equals_one_shot_product(d, n):
     assert np.array_equal(probs, _born_one_shot(state, alice, bob))
 
 
-def test_blocked_born_tensor_equals_one_shot_product_haar():
-    # 40 settings at d=8 make two blocks, the second ragged
-    d, n = 8, 40
-    rng = substream(71, d)
+def _haar_setup(d, n, seed):
+    """A Haar-random state of two d-level systems and n Haar-random bases a side."""
+    rng = substream(seed, d)
     state = sample_haar_pure(d * d, rng)
     alice = np.stack([haar_unitary(d, rng) for _ in range(n)])
     bob = np.stack([haar_unitary(d, rng) for _ in range(n)])
+    return state, alice, bob
+
+
+def test_blocked_born_tensor_equals_one_shot_product_haar():
+    # 40 settings at d=8 make two blocks, the second ragged
+    state, alice, bob = _haar_setup(8, 40, 71)
     probs = joint_from_bases(state, alice, bob).probs
     assert np.array_equal(probs, _born_one_shot(state, alice, bob))
+
+
+# tasks of the Born tensor: 2**19 amplitudes or more each; at (100, 12) a
+# 16-column slab of a block would pass the product bound, so it is one task
+BORN_TASKS = {(8, 200): 4, (7, 228): 4, (100, 12): 1, "haar-d8-n130": 2}
+
+
+@pytest.mark.parametrize(
+    "case", BORN_TASKS, ids=lambda case: case if isinstance(case, str) else "d{}-n{}".format(*case)
+)
+def test_born_tensor_same_for_any_worker_count(monkeypatch, case):
+    if case == "haar-d8-n130":
+        state, alice, bob = _haar_setup(8, 130, 73)
+    else:
+        state = maximally_entangled(case[0])
+        alice, bob = cglmp_bases(chained_settings(*case))
+    tasks = []
+
+    def counting_run_tasks(task, n_tasks):
+        tasks.append(n_tasks)
+        return run_tasks(task, n_tasks)
+
+    run_tasks = quantum._run_tasks
+    monkeypatch.setattr(quantum, "_run_tasks", counting_run_tasks)
+    tensors = []
+    for workers in (1, 2, 4):
+        set_cpus(monkeypatch, workers)
+        tensors.append(joint_from_bases(state, alice, bob).probs)
+    assert tasks == [BORN_TASKS[case]] * 3
+    assert np.array_equal(tensors[1], tensors[0])
+    assert np.array_equal(tensors[2], tensors[0])
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        chained_settings(8, 200),
+        # repeated and far-apart phases: many setting pairs share a gap
+        ChainedSettings(
+            8, np.tile([0.0, 0.5, 1e6, -3.25], 40), np.repeat([0.0, 2.5, -1e6, 7.0], 40)
+        ),
+    ],
+    ids=["d8-n200", "d8-n160-repeated"],
+)
+def test_closed_form_same_for_any_worker_count(monkeypatch, settings):
+    tensors = []
+    for workers in (1, 2, 4):
+        set_cpus(monkeypatch, workers)
+        tensors.append(closed_form_probs(settings).probs)
+    assert np.array_equal(tensors[1], tensors[0])
+    assert np.array_equal(tensors[2], tensors[0])
+
+
+# one task each: (4, 67) holds 2**16 entries, and at (100, 12) a 16-column
+# slab of a Born block would pass the product bound
+@pytest.mark.parametrize("d,n", [(4, 67), (100, 12)])
+def test_tensors_of_one_task_use_no_pool(monkeypatch, d, n):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool created")
+
+    set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    joint_distribution(maximally_entangled(d), chained_settings(d, n))
+    if d == 4:
+        closed_form_probs(chained_settings(d, n))
+
+
+def test_closed_form_peak_memory_is_near_the_tensor():
+    # np.take with mode="raise" gathers into a copy of the whole tensor first
+    settings = chained_settings(8, 200)
+    tracemalloc.start()
+    try:
+        probs = closed_form_probs(settings).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * probs.nbytes
 
 
 def test_born_tensor_peak_memory_is_near_the_tensor():
