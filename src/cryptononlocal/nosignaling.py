@@ -130,12 +130,20 @@ def random_no_signaling(
     An ``rng`` that is not a `numpy.random.Generator`, or a ``mix`` that is
     not a real number (a bool included), raises `TypeError`.
 
-    Each term is added to a flat buffer of n^2 d^2 entries by one scatter
-    into the cells it weighs: one per setting pair for a strategy, one per
-    setting pair and X for a box.  The generator calls are those of the
-    dense construction, in its order, and every entry sums its terms in the
-    order drawn, from 0.0, so the tensor is bit for bit the one that adding
-    a dense array per term gives.  A distribution by construction, it is not validated.
+    Each law takes its outcomes from one generator call: all strategies'
+    ``(a, b)`` as one ``(n_local, 2, n)`` array, all boxes' shifts f as one
+    ``(n_box, n, n)`` array, each at the point in the stream where the dense
+    construction made its per-term calls.  numpy fills a bounded integer
+    array element by element in C order from the stream, so these are the
+    per-term draws in the same order, and the stream is left at the same
+    place (pinned against the dense construction by
+    ``tests/test_nosignaling.py::test_verification_path_is_bit_identical_to_dense_oracles``
+    and its wide-grid sibling).  Each term is then added to a flat buffer of
+    n^2 d^2 entries by one scatter into the cells it weighs: one per setting
+    pair for a strategy, one per setting pair and X for a box.  Every entry
+    sums its terms in the order drawn, from 0.0, so the tensor is bit for
+    bit the one that adding a dense array per term gives.  A distribution by
+    construction, it is not validated.
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
     # a float, the common case, skips the isinstance calls
@@ -154,18 +162,17 @@ def random_no_signaling(
 
     n_local = int(rng.integers(1, 6))
     w = rng.dirichlet(np.ones(n_local))
-    for i in range(n_local):
-        a = rng.integers(0, d, size=n)
-        b = rng.integers(0, d, size=n)
-        flat[pair + (a * d)[:, None] + b] += (1.0 - mix) * w[i]
+    outcomes = rng.integers(0, d, size=(n_local, 2, n))  # [i] = (a, b)
+    for (a, b), weight in zip(outcomes, (1.0 - mix) * w):
+        flat[pair + (a * d)[:, None] + b] += weight
 
     n_box = int(rng.integers(1, 6))
     v = rng.dirichlet(np.ones(n_box))
     x = np.arange(d)
     cells = x * d + (x + x[:, None]) % d  # cells[f, X] = X d + (X + f) mod d
-    for i in range(n_box):
-        f = rng.integers(0, d, size=(n, n))
-        flat[pair[:, :, None] + cells[f]] += mix * v[i] / d
+    shifts = rng.integers(0, d, size=(n_box, n, n))
+    for f, weight in zip(shifts, mix * v / d):
+        flat[pair[:, :, None] + cells[f]] += weight
 
     return JointDistribution(flat.reshape(n, n, d, d))
 

@@ -437,8 +437,10 @@ def chained_value(dist: JointDistribution) -> float:
     in the ``(n n, d, d)`` view of the tensor, so one strided slice holds
     them all and one reduction sums them, in pair order.  The three sums
     are weighted by one product and each summed on its own, and I_N adds
-    the three totals in run order.  A ``dist`` that is not a
-    `JointDistribution`, such as a bare array, raises `TypeError`.
+    the three totals in run order, ``(t0 + t1) + t2``: the built-in `sum`
+    compensates from Python 3.12 on, so its last bit would depend on the
+    interpreter.  A ``dist`` that is not a `JointDistribution`, such as a
+    bare array, raises `TypeError`.
     """
     probs = _joint(dist).probs
     n, d = probs.shape[0], probs.shape[2]
@@ -447,7 +449,8 @@ def chained_value(dist: JointDistribution) -> float:
     for run, (_, _, a, b, k) in zip(runs, _chain_terms(n)):
         np.add.reduce(blocks[a * n + b :: n + 1][:k], axis=0, out=run)
     runs *= _chain_weights(d)
-    return sum(np.add.reduce(runs, axis=(1, 2)).tolist())
+    t0, t1, t2 = np.add.reduce(runs, axis=(1, 2)).tolist()
+    return (t0 + t1) + t2
 
 
 @functools.lru_cache(maxsize=32)

@@ -166,6 +166,16 @@ def test_chained_value_deterministic_wrap():
     assert chained_value(JointDistribution(probs)) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_chained_value_adds_run_totals_left_to_right():
+    # run totals 1.0, 1e-16 and 1e-16: (1.0 + 1e-16) + 1e-16 is 1.0, while a
+    # compensated sum (the built-in sum from Python 3.12 on) gives 1.0000000000000002
+    probs = np.zeros((2, 2, 2, 2))
+    probs[0, 0, 1, 0] = 1.0  # pair (1, 1): weight [X - Y] mod 2 = 1
+    probs[1, 0, 0, 1] = 1e-16  # pair (2, 1): weight [Y - X] mod 2 = 1
+    probs[0, 1, 0, 0] = 1e-16  # pair (1, 2), the wrap: weight [Y - X - 1] mod 2 = 1
+    assert chained_value(JointDistribution(probs)) == 1.0
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 7), (4, 6), (5, 4)])
 def test_fast_value_matches_tensor_path(d, n):
     dist = joint_distribution(maximally_entangled(d), chained_settings(d, n))

@@ -27,20 +27,22 @@ print(e.value.hex(), e.std_error.hex())
 """
 
 
-def _run(args, preexec_fn=None, returncode=0, extra_env=None):
+def _run(args, preexec_fn=None, returncode=0, extra_env=None, merge_stderr=False):
     """stdout of ``sys.executable *args``, which must exit with ``returncode``;
-    ``extra_env`` adds to or overrides the child's environment."""
+    ``extra_env`` adds to or overrides the child's environment, and
+    ``merge_stderr`` sends stderr into the returned output, as ``2>&1`` does."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, *args],
         env=env,
         preexec_fn=preexec_fn,
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT if merge_stderr else subprocess.PIPE,
         text=True,
         timeout=120,
     )
-    assert result.returncode == returncode, result.stderr
+    assert result.returncode == returncode, result.stderr or result.stdout
     return result.stdout
 
 
@@ -140,3 +142,50 @@ def test_signaling_fixture_exits_2_in_one_gib(tmp_path):
     fixture.write_text(json.dumps({"d": 2, "n": 2, "probs": box}))
     argv = ["-m", "cryptononlocal", "verify", "--suite", "theorem1", "--input", str(fixture)]
     _run(argv, _one_gib, returncode=2)
+
+
+# basis refusals in a 1 GiB address space: a repeated column of Bob's first
+# basis, and Alice's first vector turned by 1e-11 rad within her first basis
+_TURNED = (
+    "import math; from cryptononlocal.quantum import cglmp_bases, chained_settings; "
+    "a, b = cglmp_bases(chained_settings(3, 1)); "
+    "a[0, 0] = math.cos(1e-11) * a[0, 0] + math.sin(1e-11) * a[0, 1]; "
+)
+
+
+@pytest.mark.skipif(resource is None, reason="no resource limits on this platform")
+def test_repeated_bob_column_is_refused_in_one_gib():
+    code = (
+        "from cryptononlocal.quantum import cglmp_bases, chained_settings, joint_from_bases, "
+        "maximally_entangled; a, b = cglmp_bases(chained_settings(3, 2)); b[0, 1] = b[0, 0]; "
+        "joint_from_bases(maximally_entangled(3), a, b)"
+    )
+    out = _run(["-c", code], _one_gib, returncode=1, merge_stderr=True)
+    assert "ValueError: bob setting 1 is not an orthonormal basis" in out
+
+
+@pytest.mark.skipif(resource is None, reason="no resource limits on this platform")
+def test_turned_basis_is_refused_by_basis_to_bloch_in_one_gib():
+    code = _TURNED + "from cryptononlocal.leggett import basis_to_bloch; basis_to_bloch(a[0])"
+    out = _run(["-c", code], _one_gib, returncode=1, merge_stderr=True)
+    assert "ValueError: basis is not an orthonormal basis" in out
+
+
+@pytest.mark.skipif(resource is None, reason="no resource limits on this platform")
+def test_turned_basis_is_refused_by_joint_from_bases_in_one_gib():
+    code = _TURNED + (
+        "from cryptononlocal.quantum import joint_from_bases, maximally_entangled; "
+        "joint_from_bases(maximally_entangled(3), a, b)"
+    )
+    out = _run(["-c", code], _one_gib, returncode=1, merge_stderr=True)
+    assert "ValueError: alice setting 1 is not an orthonormal basis" in out
+
+
+@pytest.mark.skipif(resource is None, reason="no resource limits on this platform")
+def test_last_chained_basis_at_d100_maps_to_bloch_in_one_gib():
+    code = (
+        "from cryptononlocal.leggett import basis_to_bloch; from cryptononlocal.quantum import "
+        "cglmp_bases, chained_settings; "
+        "basis_to_bloch(cglmp_bases(chained_settings(100, 12))[0][11])"
+    )
+    _run(["-c", code], _one_gib)
