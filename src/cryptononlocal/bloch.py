@@ -34,6 +34,7 @@ chunks and the Born-rule tensor.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 
@@ -120,6 +121,22 @@ def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> 
         raise ValueError(f"{name}={value} out of range {lo}..{hi}")
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}")
+    return value
+
+
+def _real(name: str, value):
+    """``value`` itself, the one type check of every real-number argument.
+
+    A bool or anything that is not a `numbers.Real` (a string, a complex)
+    raises `TypeError`.  The caller checks the range on ``value`` as given,
+    so that an int too large for a float fails that check, and then takes
+    ``float(value)``, which keeps every float and float64 bit for bit.
+    """
+    # a float, the common case, skips the isinstance calls
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise TypeError(f"{name}={value!r} is not a number")
     return value
 
 

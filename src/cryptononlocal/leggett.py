@@ -30,7 +30,6 @@ projection of a fixed u onto each family's span.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +41,7 @@ from .bloch import (
     _bloch_coords,
     _integer,
     _normal_rows,
+    _real,
     expected_abs_projection,
     substream,
 )
@@ -109,14 +109,11 @@ class MeasurementBasisBloch:
 
 
 def _purity(eta) -> float:
-    """``eta`` itself, if it lies in (0, 1]; anything but a real number, a
-    bool included, raises `TypeError`."""
-    # a float, the common case, skips the isinstance calls
-    if type(eta) is not float and (isinstance(eta, bool) or not isinstance(eta, numbers.Real)):
-        raise TypeError(f"eta={eta!r} is not a number")
-    if not 0.0 < eta <= 1.0:
+    """``eta`` as a float, if it lies in (0, 1]; anything but a real number,
+    a bool included, raises `TypeError`."""
+    if not 0.0 < _real("eta", eta) <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    return eta
+    return float(eta)
 
 
 def _hidden_vector(u, d: int, unit: bool = False) -> np.ndarray:
@@ -166,7 +163,7 @@ class LocalModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _integer("d", self.d, 2))
-        _purity(self.eta)
+        object.__setattr__(self, "eta", _purity(self.eta))
         if self.u_mode not in U_MODES:
             raise ValueError(f"unknown u_mode {self.u_mode!r}; known: {', '.join(U_MODES)}")
 

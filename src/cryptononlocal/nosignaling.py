@@ -26,12 +26,11 @@ perfectly predicted by one hidden unit vector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _as_array, _bloch_coords, _integer
+from .bloch import _as_array, _bloch_coords, _integer, _real
 from .quantum import JointDistribution, _chain_terms, _check_bases, _check_tol, _joint
 from .quantum import _signaling_residuals, chained_value
 
@@ -128,7 +127,8 @@ def random_no_signaling(
     projection or clipping is ever needed.  Every draw comes from the
     Generator ``rng``; ``substream(seed, 0)`` gives one keyed to a seed.
     An ``rng`` that is not a `numpy.random.Generator`, or a ``mix`` that is
-    not a real number (a bool included), raises `TypeError`.
+    not a real number (a bool included), raises `TypeError`; any other
+    ``mix`` is used as its float.
 
     Each law takes its outcomes from one generator call: all strategies'
     ``(a, b)`` as one ``(n_local, 2, n)`` array, all boxes' shifts f as one
@@ -146,11 +146,9 @@ def random_no_signaling(
     construction, it is not validated.
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
-    # a float, the common case, skips the isinstance calls
-    if type(mix) is not float and (isinstance(mix, bool) or not isinstance(mix, numbers.Real)):
-        raise TypeError(f"mix={mix!r} is not a number")
-    if not 0.0 <= mix <= 1.0:
+    if not 0.0 <= _real("mix", mix) <= 1.0:
         raise ValueError("mix must lie in [0, 1]")
+    mix = float(mix)
     if not isinstance(rng, np.random.Generator):
         raise TypeError(
             f"rng is a {type(rng).__name__}, not a numpy Generator: "

@@ -5,7 +5,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Two criteria are checked against an independent reference: the exact chained
 value evaluated from the Born rule with mpmath at 50 digits, summing all 2N
 chain terms without the sin^2 closed form or the phase-symmetry shortcut of
-`cglmp_chained_value`.  These tests need mpmath and skip where it is absent.
+`cglmp_chained_value` (``born_chained_value_mp`` in ``tests/reference.py``).
+These tests need mpmath and skip where it is absent.
 
 * ``test_threshold_margin[14|15]`` checks that the d=3 crossing of the floor
   4/27 between N=14 and N=15 is real and resolved, not a near-tie that
@@ -63,32 +64,6 @@ BOUND_D3 = 4.0 / 27.0
 N_CRIT_D3 = 15
 
 
-def born_chained_value_mp(mp, d: int, n: int):
-    """Exact I_n on the maximally entangled state, from the Born rule in mpmath.
-
-    ``P(x, y | A, B) = |sum_j exp(2 pi i j ((x - alpha_A) - (y - beta_B)) / d)|^2 / d^3``
-    with ``alpha_A = (A - 1/2)/n`` and ``beta_B = B/n``.  All 2n chain terms
-    are summed, so the value does not lean on any identity of the package.
-    """
-    roots = [mp.expjpi(mp.mpf(2 * k) / d) for k in range(d)]
-
-    def mean(a, b, weight):
-        phase = (mp.mpf(a) - mp.mpf(1) / 2 - b) / n  # alpha_A - beta_B
-        twist = [mp.expjpi(-2 * j * phase / d) for j in range(d)]
-        total = mp.mpf(0)
-        for x in range(d):
-            for y in range(d):
-                # exp(2 pi i j theta / d) = roots[j (x - y) mod d] * twist[j]
-                amp = mp.fsum(roots[j * (x - y) % d] * twist[j] for j in range(d))
-                total += weight(x, y) * abs(amp) ** 2
-        return total / d**3
-
-    terms = [mean(i, i, lambda x, y: (x - y) % d) for i in range(1, n + 1)]
-    terms += [mean(i + 1, i, lambda x, y: (y - x) % d) for i in range(1, n)]
-    terms.append(mean(1, n, lambda x, y: (y - x - 1) % d))
-    return mp.fsum(terms)
-
-
 def report(label: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {label} ({detail})")
 
@@ -114,10 +89,11 @@ def test_threshold_ordering():
 
 @pytest.mark.parametrize("n", [14, 15])
 def test_threshold_margin(n):
-    mpmath = pytest.importorskip("mpmath")
+    from reference import born_chained_value_mp, mpmath
+
     value = cglmp_chained_value(3, n)
     with mpmath.workdps(50):
-        reference = born_chained_value_mp(mpmath.mp, 3, n)
+        reference = born_chained_value_mp(3, n)
         ref_margin = float(reference - mpmath.mpf(4) / 27)
         deviation = abs(float(value - reference))
     margin = value - BOUND_D3
@@ -166,12 +142,13 @@ def second_order_coefficient(d: int) -> float:
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gamma_error_ratio(d):
-    mpmath = pytest.importorskip("mpmath")
+    from reference import born_chained_value_mp, mpmath
+
     err = {}
     for n in (200, 400):
         value = cglmp_chained_value(d, n)
         with mpmath.workdps(50):
-            deviation = abs(float(value - born_chained_value_mp(mpmath.mp, d, n)))
+            deviation = abs(float(value - born_chained_value_mp(d, n)))
         assert deviation <= 1e-13, f"I_{n}={value!r} is {deviation:.3g} off the reference"
         err[n] = value - asymptotic_chained_value(d, n)
     ratio = err[200] / err[400]

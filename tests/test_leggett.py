@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -917,20 +918,34 @@ def test_a_bool_purity_is_refused(flag):
         find_critical_n(3, flag)
 
 
+# a Fraction was once kept as it was: numpy's kernels raised UFuncTypeError and
+# the marginals came back as an object array; a float32 was computed in single
+# precision (leggett_bound_floor(5, np.float32(0.7)) gave np.float32(0.0448))
+@pytest.mark.parametrize(
+    "eta", [1, Fraction(1, 2), np.float32(0.7)], ids=["int", "Fraction", "float32"]
+)
 @pytest.mark.parametrize("d", [2, 3, 7])
-def test_an_integer_purity_gives_the_bits_of_a_float(d):
-    basis = _cglmp_basis(d)
-    assert leggett_bound_floor(d, 1) == leggett_bound_floor(d, 1.0)
-    assert leggett_bound_analytic(d, 1) == leggett_bound_analytic(d, 1.0)
-    assert find_critical_n(d, 1) == find_critical_n(d, 1.0)
+def test_a_real_purity_gives_the_bits_of_its_float(d, eta):
+    basis, as_float = _cglmp_basis(d), float(eta)
+    assert type(LocalModel(d, eta).eta) is float and LocalModel(d, eta).eta == as_float
+    floor = leggett_bound_floor(d, eta)
+    assert type(floor) is float and floor == leggett_bound_floor(d, as_float)
+    assert leggett_bound_analytic(d, eta) == leggett_bound_analytic(d, as_float)
+    assert find_critical_n(d, eta) == find_critical_n(d, as_float)
     u = basis.vectors[1]
-    assert np.array_equal(
-        marginal_distribution(basis, u, 1)[0], marginal_distribution(basis, u, 1.0)[0]
-    )
+    values = marginal_distribution(basis, u, eta)[0]
+    assert values.dtype == np.float64
+    assert np.array_equal(values, marginal_distribution(basis, u, as_float)[0])
     for mode in leggett.U_MODES:
-        assert leggett_bound_mc(basis, LocalModel(d, 1, mode), 500, 3) == leggett_bound_mc(
-            basis, LocalModel(d, 1.0, mode), 500, 3
+        assert leggett_bound_mc(basis, LocalModel(d, eta, mode), 500, 3) == leggett_bound_mc(
+            basis, LocalModel(d, as_float, mode), 500, 3
         )
+
+
+def test_a_purity_too_large_for_a_float_is_out_of_range():
+    # the range is checked before the conversion, which would overflow
+    with pytest.raises(ValueError, match=re.escape("eta must lie in (0, 1]")):
+        leggett_bound_floor(3, 10**400)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -176,10 +176,9 @@ def test_analytic_bound_matches_mpmath(d, eta):
     below the smallest normal float (eta below ~1e-305) carries an absolute
     error of up to two subnormal steps instead: the float cannot hold it
     more closely."""
-    from reference import kappa, mpmath
+    from reference import analytic_bound, mpmath
 
     with mpmath.workdps(40):
-        step = mpmath.sqrt(mpmath.mpf(2 * d) / (d - 1))
-        exact = mpmath.mpf(eta) * (d - 1) / d**2 * d * step * kappa(d * d - 1)
+        exact = analytic_bound(d, eta)
         error = abs(mpmath.mpf(leggett_bound_analytic(d, eta).value) - exact)
         assert error <= 1e-15 * exact + 2 * mpmath.mpf(5e-324)
