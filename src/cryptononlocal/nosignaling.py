@@ -25,6 +25,7 @@ perfectly predicted by one hidden unit vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,6 +117,21 @@ def check_no_signaling(dist: JointDistribution, tol: float = 1e-12) -> NoSignali
     )
 
 
+# term cells per slab of Alice settings in `random_no_signaling`, about: the
+# slab's cell indices and weights then take ~1 MiB
+_SLAB_CELLS = 1 << 16
+
+
+@functools.lru_cache(maxsize=32)
+def _box_cells(d: int) -> np.ndarray:
+    """Read-only ``cells[f, X] = X d + (X + f) mod d``: the cells, within a
+    setting pair's d x d block, of a box Y = X + f."""
+    x = np.arange(d)
+    cells = x * d + (x + x[:, None]) % d
+    cells.flags.writeable = False
+    return cells
+
+
 def random_no_signaling(
     d: int, n: int, mix: float, rng: np.random.Generator
 ) -> JointDistribution:
@@ -138,12 +154,18 @@ def random_no_signaling(
     per-term draws in the same order, and the stream is left at the same
     place (pinned against the dense construction by
     ``tests/test_nosignaling.py::test_verification_path_is_bit_identical_to_dense_oracles``
-    and its wide-grid sibling).  Each term is then added to a flat buffer of
-    n^2 d^2 entries by one scatter into the cells it weighs: one per setting
-    pair for a strategy, one per setting pair and X for a box.  Every entry
-    sums its terms in the order drawn, from 0.0, so the tensor is bit for
-    bit the one that adding a dense array per term gives.  A distribution by
-    construction, it is not validated.
+    and its wide-grid sibling).
+
+    The tensor is then filled slab by slab, each slab a run of Alice
+    settings holding about ``_SLAB_CELLS`` term cells, by one weighted
+    `numpy.bincount`.  A term weighs one cell per setting pair (a strategy)
+    or one per setting pair and X (a box), and the slab's cells go in draw
+    order: every strategy, then every box.  bincount adds its weights in
+    input order to entries that start at 0.0, so each entry sums its terms
+    in the order drawn, the order in which one scatter per term, or one
+    dense array per term, would add them: the tensor is bit for bit theirs.
+    The slabs bound the index and weight arrays, whatever n and d.  A
+    distribution by construction, it is not validated.
     """
     d, n = _integer("d", d, 2), _integer("n", n, 1)
     if not 0.0 <= _real("mix", mix) <= 1.0:
@@ -154,24 +176,37 @@ def random_no_signaling(
             f"rng is a {type(rng).__name__}, not a numpy Generator: "
             "draw one with substream(seed, stream)"
         )
-    flat = np.zeros(n * n * d * d)
-    # entry (A, B, X, Y) sits at flat index (A n + B) d^2 + X d + Y
-    pair = np.arange(0, flat.size, d * d).reshape(n, n)
-
+    # the first allocation: a tensor too large to hold fails before any draw
+    flat = np.empty(n * n * d * d)
     n_local = int(rng.integers(1, 6))
     w = rng.dirichlet(np.ones(n_local))
     outcomes = rng.integers(0, d, size=(n_local, 2, n))  # [i] = (a, b)
-    for (a, b), weight in zip(outcomes, (1.0 - mix) * w):
-        flat[pair + (a * d)[:, None] + b] += weight
-
     n_box = int(rng.integers(1, 6))
     v = rng.dirichlet(np.ones(n_box))
-    x = np.arange(d)
-    cells = x * d + (x + x[:, None]) % d  # cells[f, X] = X d + (X + f) mod d
     shifts = rng.integers(0, d, size=(n_box, n, n))
-    for f, weight in zip(shifts, mix * v / d):
-        flat[pair[:, :, None] + cells[f]] += weight
 
+    # strategy i weighs cell (A n + B) d^2 + a_i(A) d + b_i(B) of the flat
+    # tensor, box j the d cells (A n + B) d^2 + cells[f_j(A, B)]
+    a, b = outcomes[:, 0] * d, outcomes[:, 1, None, :]
+    cells = _box_cells(d)
+    weights = np.concatenate([(1.0 - mix) * w, mix * v / d])
+    block = n * d * d  # entries per Alice setting
+    rows = max(1, _SLAB_CELLS // (n * (n_local + n_box * d)))
+    for lo in range(0, n, rows):
+        k = min(rows, n - lo)
+        pair = np.arange(0, k * block, d * d).reshape(k, n)  # from the slab's start
+        index = np.empty(k * n * (n_local + n_box * d), dtype=np.intp)
+        split = n_local * k * n
+        local = index[:split].reshape(n_local, k, n)
+        np.add(a[:, lo : lo + k, None], b, out=local)
+        local += pair
+        boxes = index[split:].reshape(n_box, k, n, d)
+        np.take(cells, shifts[:, lo : lo + k], axis=0, out=boxes)
+        boxes += pair[:, :, None]
+        counts = [k * n] * n_local + [k * n * d] * n_box
+        flat[lo * block : (lo + k) * block] = np.bincount(
+            index, np.repeat(weights, counts), minlength=k * block
+        )
     return JointDistribution(flat.reshape(n, n, d, d))
 
 

@@ -1,5 +1,11 @@
+import copy
+import itertools
 import math
+import os
+import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +190,58 @@ def test_sphere_norms_and_determinism():
     assert np.array_equal(pts, again)
     other = sample_sphere(8, substream(7, 1), size=1000)
     assert not np.allclose(pts, other)
+
+
+def _state(gen):
+    """A generator's bit-generator state, its arrays as lists, for ``==``."""
+    state = gen.bit_generator.state
+    arrays = {k: v.tolist() for k, v in state["state"].items()}
+    return {**state, "state": arrays, "buffer": state["buffer"].tolist()}
+
+
+_KEY_WORDS = (0, -1, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed,index", itertools.product(_KEY_WORDS, repeat=2))
+def test_substream_is_the_keyed_philox(seed, index):
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    gen, keyed = substream(seed, index), np.random.Generator(np.random.Philox(key=key))
+    assert _state(gen) == _state(keyed)
+    assert _state(gen)["state"]["counter"] == [0, 0, 0, 0]
+    words = [g.integers(2**64, size=9, dtype=np.uint64) for g in (gen, keyed)]
+    assert np.array_equal(*words)
+    assert np.array_equal(gen.standard_normal(7), keyed.standard_normal(7))
+    # a pickled and a deep-copied generator go on with the same stream
+    twins = pickle.loads(pickle.dumps(gen)), copy.deepcopy(gen)
+    assert all(_state(twin) == _state(gen) for twin in twins)
+    ahead = gen.random(5)
+    assert np.array_equal(ahead, keyed.random(5))
+    for twin in twins:
+        assert np.array_equal(twin.random(5), ahead)
+
+
+def test_substream_key_answers_only_the_philox_request():
+    seed_seq = substream(3, 4).bit_generator.seed_seq
+    # Philox(key=...) would carry a SeedSequence of operating-system entropy
+    assert not isinstance(seed_seq, np.random.SeedSequence)
+    assert seed_seq.generate_state(2, np.uint64).tolist() == [3, 4]
+    assert seed_seq.generate_state(2, np.dtype("uint64")).tolist() == [3, 4]
+    for n_words, dtype in ((4, np.uint64), (2, np.uint32)):
+        with pytest.raises(ValueError, match="only generate_state"):
+            seed_seq.generate_state(n_words, dtype)
+
+
+def test_importing_the_package_leaves_numpy_random_unimported():
+    # substream makes its key a numpy seed sequence on first use: importing
+    # numpy.random with the package would slow the start of every command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, cryptononlocal.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.stdout == "False\n", result.stderr
 
 
 class _ZeroFirstRows:

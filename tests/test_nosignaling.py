@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cryptononlocal import nosignaling
 from cryptononlocal.bloch import substream
 from cryptononlocal.leggett import basis_to_bloch
 from cryptononlocal.nosignaling import (
@@ -448,11 +449,30 @@ def test_one_call_per_law_draws_the_dense_oracles_outcomes(d, ns, mix):
             assert gen.integers(2**63) == oracle_gen.integers(2**63)
 
 
+# a slab of one Alice setting: the slab loop's bounds and offsets, at sizes
+# that otherwise fill one slab
+@pytest.mark.parametrize("d,n", [(2, 40), (3, 5), (5, 6)])
+def test_one_setting_slabs_build_the_one_slab_box(monkeypatch, d, n):
+    boxes = []
+    for slab_cells in (nosignaling._SLAB_CELLS, 1):
+        monkeypatch.setattr(nosignaling, "_SLAB_CELLS", slab_cells)
+        for stream in range(4):
+            gen = substream(100 * d + n, stream)
+            mix = float(gen.uniform())
+            boxes.append((random_no_signaling(d, n, mix, gen).probs.tobytes(), gen.integers(2**63)))
+    assert boxes[:4] == boxes[4:]
+    for stream, (probs, after) in enumerate(boxes[:4]):
+        oracle_gen = substream(100 * d + n, stream)
+        mix = float(oracle_gen.uniform())
+        assert probs == _dense_random_no_signaling(d, n, mix, oracle_gen).tobytes()
+        assert after == oracle_gen.integers(2**63)
+
+
 # the tensor's own bytes, the outcome arrays of one call per law (five
 # boxes' n^2 shifts are 5/4 of the tensor at d = 2 and 5/9 at d = 3) and one
-# term's index and gathered values: measured 3.58 and 2.35 times the tensor
-# (2.57 and 1.90 with one call per term)
-@pytest.mark.parametrize("d,n,bound", [(2, 600, 4.0), (3, 300, 2.6)])
+# slab's cell indices, weights and bincount: measured 2.36 and 1.76 times the
+# tensor (3.51 and 2.35 with one scatter per term)
+@pytest.mark.parametrize("d,n,bound", [(2, 600, 2.45), (3, 300, 1.85)])
 def test_random_no_signaling_peak_memory(d, n, bound):
     worst = 0.0
     for seed in range(20):  # seeds 19 (d = 2) and 9 (d = 3) draw five of each law

@@ -136,6 +136,11 @@ CHECKS = {
     "verify-d100-theorem1": (
         _cli("verify --suite theorem1 --n 20 --trials 2 --d 100"), _one_gib, 0, "...-> PASS\n"
     ),
+    # boxes of many slabs of Alice settings, end to end
+    "verify-n600-theorem1": (
+        _cli("verify --suite theorem1 --d 2 --n 600 --trials 2"), _one_gib, 0,
+        "theorem1 suite: d=2 n=600 trials=2 min_slack=601.04158982108 -> PASS\n",
+    ),
     "verify-d100-lemma": (
         _cli("verify --suite lemma --n 20 --trials 1 --d 100"), _one_gib, 0, "...-> PASS\n"
     ),
